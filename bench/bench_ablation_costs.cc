@@ -2,10 +2,8 @@
 //   1. per-(element, keyword) path cap (the k*|K|*|G| space bound of
 //      Sec. VI-C) on vs off,
 //   2. the paper's TA bound (min cursor cost) vs the tightened bound
-//      (min cursor cost + cheapest completion),
-//   3. cost models C1/C2/C3 runtime deltas,
-//   4. distance-guided pruning (the Sec. IX connectivity-indexing future
-//      work) on vs off.
+//      (min cursor cost + cheapest completion), which serving uses,
+//   3. cost models C1/C2/C3 runtime deltas.
 //
 // Reported per configuration: average query time and cursor pops over the
 // Fig. 5 workload.
@@ -29,7 +27,6 @@ struct Config {
   bool prune;
   bool tightened;
   CostModel model;
-  bool distance_pruning = false;
 };
 
 }  // namespace
@@ -42,15 +39,12 @@ int main() {
   const auto workload = grasp::datagen::DblpPerformanceWorkload();
 
   const Config configs[] = {
-      {"C3 prune+paper-bound (default)", true, false, CostModel::kMatching},
-      {"C3 prune+tight-bound", true, true, CostModel::kMatching},
+      {"C3 prune+paper-bound", true, false, CostModel::kMatching},
+      {"C3 prune+tight-bound (default)", true, true, CostModel::kMatching},
       {"C3 noprune+paper-bound", false, false, CostModel::kMatching},
       {"C3 noprune+tight-bound", false, true, CostModel::kMatching},
       {"C1 prune+paper-bound", true, false, CostModel::kPathLength},
       {"C2 prune+paper-bound", true, false, CostModel::kPopularity},
-      {"C3 prune+distance-guided", true, false, CostModel::kMatching, true},
-      {"C3 tight-bound+distance-guided", true, true, CostModel::kMatching,
-       true},
   };
 
   std::printf("\n%-34s %12s %14s %14s %10s\n", "config", "avg ms", "avg pops",
@@ -64,7 +58,6 @@ int main() {
       explore.cost_model = config.model;
       explore.prune_paths_per_element = config.prune;
       explore.tightened_bound = config.tightened;
-      explore.distance_pruning = config.distance_pruning;
       // Safety valve so the no-cap configurations terminate: without the
       // per-(element, keyword) path cap the cursor population explodes on
       // the many-keyword queries — which is the point of the ablation.
@@ -85,43 +78,6 @@ int main() {
                                               capped)
                                  .c_str()
                            : "");
-  }
-
-  // Distance-guided pruning pays off where the graph index is large and
-  // sparse: TAP's many-class summary graph (Fig. 6b) with keywords from
-  // distant domains. DBLP's eight-node summary is too dense for any cursor
-  // to be provably useless.
-  grasp::bench::Dataset tap = grasp::bench::MakeTap();
-  grasp::core::KeywordSearchEngine tap_engine(tap.store, tap.dictionary);
-  std::printf(
-      "\nDistance-guided exploration on TAP (%zu triples, %zu summary "
-      "nodes)\n",
-      tap.store.size(), tap_engine.index_stats().summary_nodes);
-  std::printf("%6s %12s %12s %14s %14s %12s\n", "dmax", "plain ms",
-              "guided ms", "plain pops", "guided pops", "pruned");
-  grasp::bench::Rule(76);
-  const std::vector<std::vector<std::string>> tap_queries = {
-      {"music", "album"},       {"sports", "team", "city"},
-      {"politics", "person"},   {"technology", "product", "organization"},
-      {"history", "event"},     {"art", "museum", "place"},
-  };
-  for (std::uint32_t dmax : {4u, 6u, 8u, 12u}) {
-    double plain_ms = 0, guided_ms = 0;
-    std::size_t plain_pops = 0, guided_pops = 0, pruned = 0;
-    for (const auto& keywords : tap_queries) {
-      ExplorationOptions explore;
-      explore.dmax = dmax;
-      auto plain = tap_engine.Search(keywords, 10, explore);
-      plain_ms += plain.total_millis;
-      plain_pops += plain.exploration_stats.cursors_popped;
-      explore.distance_pruning = true;
-      auto guided = tap_engine.Search(keywords, 10, explore);
-      guided_ms += guided.total_millis;
-      guided_pops += guided.exploration_stats.cursors_popped;
-      pruned += guided.exploration_stats.cursors_distance_pruned;
-    }
-    std::printf("%6u %12.2f %12.2f %14zu %14zu %12zu\n", dmax, plain_ms,
-                guided_ms, plain_pops, guided_pops, pruned);
   }
   return 0;
 }

@@ -79,19 +79,11 @@ double SubgraphExplorer::KthCandidateCost() const {
 }
 
 double SubgraphExplorer::RemainingLowerBound() const {
-  if (scratch_->heap.empty()) return kInf;
-  const double min_cursor = scratch_->heap.Top().cost;
-  if (!options_.tightened_bound) return min_cursor;
   // A future candidate consists of one path that is still on the heap
-  // (cost >= min_cursor) plus, for every other keyword, some path that costs
-  // at least that keyword's cheapest root. Minimizing over the choice of the
-  // heap keyword yields: min_cursor + sum(min roots) - max(min root).
-  double sum = 0.0, worst = 0.0;
-  for (double r : scratch_->min_root_cost) {
-    sum += r;
-    worst = std::max(worst, r);
-  }
-  return min_cursor + (sum - worst);
+  // (cost >= heap top) plus, for every other keyword, some path that costs
+  // at least that keyword's cheapest root — the completion floor.
+  if (scratch_->heap.empty()) return kInf;
+  return scratch_->heap.Top().cost + completion_floor_;
 }
 
 double SubgraphExplorer::StopBound(double pending_cost) const {
@@ -102,13 +94,7 @@ double SubgraphExplorer::StopBound(double pending_cost) const {
   // re-ranking requires a strictly cheaper decomposition, so ranked
   // candidates strictly below the bound are already in their final order —
   // the verified prefix of the unbounded ranking.
-  if (!options_.tightened_bound) return pending_cost;
-  double sum = 0.0, worst = 0.0;
-  for (double r : scratch_->min_root_cost) {
-    sum += r;
-    worst = std::max(worst, r);
-  }
-  return pending_cost + (sum - worst);
+  return pending_cost + completion_floor_;
 }
 
 std::size_t SubgraphExplorer::CandidateCap() const {
@@ -358,22 +344,6 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
     if (k_i.empty()) return {};  // some keyword cannot be interpreted
   }
 
-  if (options_.distance_pruning) {
-    distance_index_ = std::make_unique<summary::KeywordDistanceIndex>(
-        summary::KeywordDistanceIndex::Build(*graph_));
-  }
-  auto distance_admissible = [this](std::uint32_t keyword,
-                                    summary::ElementId element,
-                                    std::uint32_t distance) {
-    if (distance_index_ == nullptr) return true;
-    if (distance_index_->CanStillConnect(keyword, element, distance,
-                                         options_.dmax)) {
-      return true;
-    }
-    ++stats_.cursors_distance_pruned;
-    return false;
-  };
-
   auto& cursors = scratch_->cursors;
   auto& heap = scratch_->heap;
 
@@ -387,29 +357,33 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
   // Alg. 1, lines 1-6: one root cursor per keyword element. Under an edge
   // scope, keyword elements that are masked edges are not part of the
   // scoped graph: they neither root a cursor nor contribute to the
-  // min-root bound, and a keyword whose every element is scoped out makes
+  // completion floor, and a keyword whose every element is scoped out makes
   // the query unanswerable (mirrored exactly by ReferenceExplorer).
   const graph::OverlayEdgeFilter* scope = options_.edge_filter;
-  scratch_->min_root_cost.assign(num_keywords_, kInf);
+  double min_root_sum = 0.0, min_root_max = 0.0;
   for (std::uint32_t i = 0; i < num_keywords_; ++i) {
-    bool any_in_scope = false;
+    double min_root = kInf;
     for (const summary::ScoredElement& se : keyword_elements[i]) {
       if (scope != nullptr && se.element.is_edge() &&
           !scope->Contains(se.element.index())) {
         continue;
       }
-      any_in_scope = true;
       const double w = CachedElementCost(se.element);
-      scratch_->min_root_cost[i] = std::min(scratch_->min_root_cost[i], w);
-      if (!distance_admissible(i, se.element, 0)) continue;
+      min_root = std::min(min_root, w);
       const std::uint32_t idx = static_cast<std::uint32_t>(cursors.size());
       cursors.push_back(FlatCursor{se.element, -1, i, 0, w,
                                    FlatCursor::SigBit(se.element)});
       heap.Push(w, idx);
       ++stats_.cursors_created;
     }
-    if (!any_in_scope) return {};
+    if (min_root == kInf) return {};
+    min_root_sum += min_root;
+    min_root_max = std::max(min_root_max, min_root);
   }
+  // The heap keyword's own root is the one left out, and the bound takes
+  // the choice that minimizes the rest: drop the most expensive min root.
+  completion_floor_ =
+      options_.tightened_bound ? min_root_sum - min_root_max : 0.0;
 
   // Word-caching probe over the shared base mask: CSR incident runs are
   // ascending edge ids, so each pop's scan loads one mask word per 64-id
@@ -482,9 +456,6 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
         auto try_expand = [&](summary::ElementId nb) {
           if (nb == parent_element) return;
           if (InAncestors(cursor_idx, nb)) return;
-          if (!distance_admissible(cursor.keyword, nb, cursor.distance + 1)) {
-            return;
-          }
           const double w = cursor.cost + CachedElementCost(nb);
           const std::uint32_t child =
               static_cast<std::uint32_t>(cursors.size());

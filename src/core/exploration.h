@@ -12,7 +12,6 @@
 #include "graph/edge_filter.h"
 #include "serve/query_control.h"
 #include "summary/augmented_graph.h"
-#include "summary/distance_index.h"
 
 namespace grasp::core {
 
@@ -43,15 +42,17 @@ struct ExplorationOptions {
   /// Keep only the k cheapest paths per (element, keyword) pair — the space
   /// bound k*|K|*|G| of Sec. VI-C. Disable for the ablation benchmark.
   bool prune_paths_per_element = true;
-  /// Use the tightened TA bound (min cursor cost plus the cheapest possible
-  /// completion for the remaining keywords) instead of the paper's plain
-  /// min-cursor-cost bound. Both are sound; this one terminates earlier.
-  bool tightened_bound = false;
-  /// Guided exploration via per-keyword BFS distances on the augmented
-  /// graph (the paper's future-work connectivity indexing, Sec. IX):
-  /// cursors provably unable to take part in any matching subgraph of
-  /// radius dmax are never created. Sound — the top-k result is unchanged.
-  bool distance_pruning = false;
+  /// Stop bound of Alg. 2. On (the default), the lower bound on anything
+  /// still undiscovered is the cheapest cursor plus the completion floor:
+  /// every other keyword's cheapest root, i.e. sum(min roots) - max(min
+  /// root). Off, it is the paper's plain cheapest-cursor bound. Both are
+  /// sound, and the stop test is strict (k-th cost < bound), so every
+  /// candidate the longer plain run adds costs more than the k-th: the
+  /// returned ranking is identical either way and the tightened run just
+  /// stops sooner. The same floor lifts the verified-prefix bound of a
+  /// budget, cancel or deadline stop, so such prefixes are never shorter.
+  /// The paper's Fig. 5/6a harnesses switch it off to reproduce Alg. 2.
+  bool tightened_bound = true;
   /// Record the per-pop cost trace (pop_cost_trace()). Off by default so
   /// the hot loop does not grow a vector on every pop; the Theorem 1
   /// property tests switch it on.
@@ -62,9 +63,7 @@ struct ExplorationOptions {
   /// cursor — they are not part of the scoped graph at all. The mask spans
   /// base summary edges (shared, cacheable) plus per-query overlay bits
   /// (see summary::AugmentedGraph::ScopedFilter) and must outlive the
-  /// exploration. The distance-pruning index stays unfiltered: unfiltered
-  /// distances lower-bound scoped ones, so pruning remains sound and both
-  /// explorers remain byte-identical. nullptr = full graph.
+  /// exploration. nullptr = full graph.
   const graph::OverlayEdgeFilter* edge_filter = nullptr;
   /// Safety valve: stop after this many cursor pops (0 = unlimited).
   std::size_t max_cursor_pops = 0;
@@ -96,7 +95,6 @@ struct ExplorationOptions {
 struct ExplorationStats {
   std::size_t cursors_created = 0;
   std::size_t cursors_popped = 0;
-  std::size_t cursors_distance_pruned = 0;  ///< skipped by distance_pruning
   std::size_t paths_recorded = 0;
   std::size_t subgraphs_generated = 0;   ///< candidate insertions attempted
   std::size_t subgraphs_deduplicated = 0;
@@ -195,7 +193,8 @@ class SubgraphExplorer {
   /// Cost above which a new combination cannot reach the top k distinct
   /// structures (+inf while the candidate list is below capacity).
   double CandidatePruneCost() const;
-  /// Smallest cost any not-yet-generated candidate could have.
+  /// Smallest cost any not-yet-generated candidate could have: the heap
+  /// top plus the completion floor.
   double RemainingLowerBound() const;
   /// Cost of the current k-th best candidate (+inf while fewer than k).
   double KthCandidateCost() const;
@@ -213,13 +212,14 @@ class SubgraphExplorer {
   /// +inf on a complete run; set by early-stop paths (budget / cancel /
   /// deadline) to truncate the returned ranking to its verified prefix.
   double stop_bound_ = std::numeric_limits<double>::infinity();
+  /// What any candidate adds on top of one path still to be popped: the
+  /// other keywords' cheapest roots, sum(min roots) - max(min root), fixed
+  /// once roots are seeded. 0 under the plain bound (tightened_bound off).
+  double completion_floor_ = 0.0;
 
   /// Self-owned scratch for callers that did not pass one.
   std::unique_ptr<ExplorationScratch> owned_scratch_;
   ExplorationScratch* scratch_;
-
-  /// Per-keyword BFS distances; built only when distance_pruning is on.
-  std::unique_ptr<summary::KeywordDistanceIndex> distance_index_;
 };
 
 }  // namespace grasp::core

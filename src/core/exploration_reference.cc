@@ -90,22 +90,15 @@ double ReferenceExplorer::KthCandidateCost() const {
 }
 
 double ReferenceExplorer::RemainingLowerBound() const {
+  // A future candidate consists of one path that is still on some queue
+  // (cost >= min_cursor) plus, for every other keyword, some path that costs
+  // at least that keyword's cheapest root — the completion floor.
   double min_cursor = kInf;
   for (const auto& q : queues_) {
     if (!q.empty()) min_cursor = std::min(min_cursor, q.front().first);
   }
   if (min_cursor == kInf) return kInf;
-  if (!options_.tightened_bound) return min_cursor;
-  // A future candidate consists of one path that is still on some queue
-  // (cost >= min_cursor) plus, for every other keyword, some path that costs
-  // at least that keyword's cheapest root. Minimizing over the choice of the
-  // queue keyword yields: min_cursor + sum(min roots) - max(min root).
-  double sum = 0.0, worst = 0.0;
-  for (double r : min_root_cost_) {
-    sum += r;
-    worst = std::max(worst, r);
-  }
-  return min_cursor + (sum - worst);
+  return min_cursor + completion_floor_;
 }
 
 double ReferenceExplorer::StopBound(double pending_cost) const {
@@ -113,13 +106,7 @@ double ReferenceExplorer::StopBound(double pending_cost) const {
   // unprocessed cursor (at least as cheap as every queued one): any
   // candidate the continued run could still produce costs at least this
   // much, so ranked candidates strictly below it are final.
-  if (!options_.tightened_bound) return pending_cost;
-  double sum = 0.0, worst = 0.0;
-  for (double r : min_root_cost_) {
-    sum += r;
-    worst = std::max(worst, r);
-  }
-  return pending_cost + (sum - worst);
+  return pending_cost + completion_floor_;
 }
 
 std::size_t ReferenceExplorer::CandidateCap() const {
@@ -316,45 +303,32 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
     if (k_i.empty()) return {};  // some keyword cannot be interpreted
   }
 
-  if (options_.distance_pruning) {
-    distance_index_ = std::make_unique<summary::KeywordDistanceIndex>(
-        summary::KeywordDistanceIndex::Build(*graph_));
-  }
-  auto distance_admissible = [this](std::uint32_t keyword,
-                                    summary::ElementId element,
-                                    std::uint32_t distance) {
-    if (distance_index_ == nullptr) return true;
-    if (distance_index_->CanStillConnect(keyword, element, distance,
-                                         options_.dmax)) {
-      return true;
-    }
-    ++stats_.cursors_distance_pruned;
-    return false;
-  };
-
   // Alg. 1, lines 1-6: one root cursor per keyword element. Keyword
   // elements that are scope-masked edges are not part of the scoped graph
   // (same rule as SubgraphExplorer, which the differential suite pins).
-  min_root_cost_.assign(num_keywords_, kInf);
+  double min_root_sum = 0.0, min_root_max = 0.0;
   for (std::uint32_t i = 0; i < num_keywords_; ++i) {
-    bool any_in_scope = false;
+    double min_root = kInf;
     for (const summary::ScoredElement& se : keyword_elements[i]) {
       if (options_.edge_filter != nullptr && se.element.is_edge() &&
           !options_.edge_filter->Contains(se.element.index())) {
         continue;
       }
-      any_in_scope = true;
       const double w = cost_fn_.ElementCost(se.element);
-      min_root_cost_[i] = std::min(min_root_cost_[i], w);
-      if (!distance_admissible(i, se.element, 0)) continue;
+      min_root = std::min(min_root, w);
       const std::uint32_t idx = static_cast<std::uint32_t>(cursors_.size());
       cursors_.push_back(Cursor{se.element, -1, i, 0, w});
       queues_[i].emplace_back(w, idx);
       std::push_heap(queues_[i].begin(), queues_[i].end(), HeapGreater{});
       ++stats_.cursors_created;
     }
-    if (!any_in_scope) return {};
+    if (min_root == kInf) return {};
+    min_root_sum += min_root;
+    min_root_max = std::max(min_root_max, min_root);
   }
+  // Same completion floor as SubgraphExplorer, summed in the same order.
+  completion_floor_ =
+      options_.tightened_bound ? min_root_sum - min_root_max : 0.0;
 
   std::vector<summary::ElementId> neighbors;
   while (true) {
@@ -426,9 +400,6 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
         for (summary::ElementId nb : neighbors) {
           if (nb == parent_element) continue;
           if (InAncestors(cursor_idx, nb)) continue;
-          if (!distance_admissible(cursor.keyword, nb, cursor.distance + 1)) {
-            continue;
-          }
           const double w = cursor.cost + cost_fn_.ElementCost(nb);
           const std::uint32_t child = static_cast<std::uint32_t>(cursors_.size());
           cursors_.push_back(

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "core/exploration.h"
 #include "core/subgraph.h"
 #include "summary/augmented_graph.h"
-#include "summary/distance_index.h"
 
 namespace grasp::core {
 
@@ -77,8 +75,8 @@ class ReferenceExplorer {
   std::vector<std::string> candidate_keys_;
   std::map<std::string, double> best_cost_by_key_;
 
-  std::vector<double> min_root_cost_;
-  std::unique_ptr<summary::KeywordDistanceIndex> distance_index_;
+  /// Completion floor; see SubgraphExplorer::completion_floor_.
+  double completion_floor_ = 0.0;
   std::vector<double> pop_cost_trace_;
 };
 

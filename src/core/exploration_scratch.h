@@ -427,7 +427,6 @@ struct ExplorationScratch {
   AlignedVector<summary::EdgeId> cand_edges;
 
   std::vector<double> pop_trace;  ///< recorded only when record_pop_trace
-  std::vector<double> min_root_cost;
 
   /// Generation-stamped per-query element-cost cache, indexed by
   /// AugmentedGraph::DenseIndex. Element costs are query-constant, so each
@@ -458,7 +457,6 @@ struct ExplorationScratch {
     cand_nodes.clear();
     cand_edges.clear();
     pop_trace.clear();
-    min_root_cost.clear();
     ++cost_epoch;  // invalidates element_cost without touching it
   }
 
@@ -476,7 +474,6 @@ struct ExplorationScratch {
            cand_nodes.capacity() * sizeof(summary::NodeId) +
            cand_edges.capacity() * sizeof(summary::EdgeId) +
            pop_trace.capacity() * sizeof(double) +
-           min_root_cost.capacity() * sizeof(double) +
            element_cost.capacity() * sizeof(double) +
            element_cost_epoch.capacity() * sizeof(std::uint64_t);
   }

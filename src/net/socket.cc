@@ -41,7 +41,15 @@ int AcceptRetry(int listen_fd) {
   for (;;) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd >= 0 || errno != EINTR) return fd;
+    if (fd >= 0) {
+      // Replies go out as soon as they are written: without this, a reply
+      // written while the previous one is unacknowledged waits for the
+      // client's delayed ACK (~40 ms on Linux).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return fd;
+    }
+    if (errno != EINTR) return fd;
   }
 }
 

@@ -44,6 +44,8 @@ std::ptrdiff_t ReadRetry(int fd, void* buf, std::size_t len);
 /// Writes with MSG_NOSIGNAL where applicable: a dead peer yields EPIPE, not
 /// a process-killing SIGPIPE (belt to IgnoreSigpipe's suspenders).
 std::ptrdiff_t WriteRetry(int fd, const void* buf, std::size_t len);
+/// accept4 (nonblocking, close-on-exec) retried on EINTR; the accepted
+/// socket has TCP_NODELAY set.
 int AcceptRetry(int listen_fd);
 
 Status SetNonBlocking(int fd);

@@ -6,6 +6,10 @@
 // random keyword sets and options. This also discharges the ROADMAP
 // follow-up on randomized overlay/equivalence coverage: the randomized
 // cases sweep keyword sets instead of pinning one.
+//
+// The same loops also pin the stop bound out of the ranking: the paper's
+// plain TA bound and the tightened default must return one ranking, both
+// from the explorers and from the engine's Search.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +19,13 @@
 
 #include "common/filter_op.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/exploration.h"
 #include "core/exploration_reference.h"
+#include "datagen/dblp_gen.h"
 #include "datagen/lubm_gen.h"
 #include "datagen/tap_gen.h"
+#include "datagen/workload.h"
 #include "keyword/keyword_index.h"
 #include "rdf/data_graph.h"
 #include "summary/augmented_graph.h"
@@ -113,6 +120,42 @@ void ExpectIdenticalTopK(const AugmentedGraph& augmented,
       << context;
 }
 
+/// Runs `options` under the plain and the tightened stop bound through both
+/// explorers and asserts one complete ranking for all four runs: same
+/// costs, structures and discovery stamps. The stop test is strict, so
+/// anything the longer plain run adds costs more than the k-th candidate;
+/// the tightened run may only pop less.
+void ExpectStopBoundsAgree(const AugmentedGraph& augmented,
+                           ExplorationOptions options,
+                           ExplorationScratch* scratch,
+                           const std::string& context) {
+  options.tightened_bound = false;
+  SubgraphExplorer plain(augmented, options, scratch);
+  const auto expected = plain.FindTopK();
+  const std::size_t plain_pops = plain.stats().cursors_popped;
+  ReferenceExplorer plain_reference(augmented, options);
+  const auto plain_reference_results = plain_reference.FindTopK();
+  options.tightened_bound = true;
+  ReferenceExplorer tight_reference(augmented, options);
+  const auto tight_reference_results = tight_reference.FindTopK();
+  SubgraphExplorer tight(augmented, options, scratch);
+  const auto tight_results = tight.FindTopK();
+  EXPECT_LE(tight.stats().cursors_popped, plain_pops) << context;
+
+  for (const auto* actual :
+       {&plain_reference_results, &tight_reference_results, &tight_results}) {
+    ASSERT_EQ(actual->size(), expected.size()) << context;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*actual)[i].cost, expected[i].cost)
+          << context << " rank " << i;
+      EXPECT_EQ((*actual)[i].StructureKey(), expected[i].StructureKey())
+          << context << " rank " << i;
+      EXPECT_EQ((*actual)[i].discovery, expected[i].discovery)
+          << context << " rank " << i;
+    }
+  }
+}
+
 /// Option matrix shared by the fixture tests.
 std::vector<ExplorationOptions> OptionMatrix() {
   std::vector<ExplorationOptions> all;
@@ -124,9 +167,10 @@ std::vector<ExplorationOptions> OptionMatrix() {
         options.k = k;
         options.cost_model = model;
         options.prune_paths_per_element = prune;
-        all.push_back(options);
-        options.tightened_bound = true;
-        all.push_back(options);
+        for (bool tightened : {false, true}) {
+          options.tightened_bound = tightened;
+          all.push_back(options);
+        }
       }
     }
   }
@@ -138,10 +182,12 @@ TEST(ExplorationDifferentialTest, Figure1Fixture) {
   const AugmentedGraph augmented = Augment(p, {"2006", "cimiano", "aifb"});
   ExplorationScratch scratch;
   for (const ExplorationOptions& options : OptionMatrix()) {
-    ExpectIdenticalTopK(augmented, options, &scratch,
-                        StrFormat("fig1 k=%zu model=%d prune=%d", options.k,
-                                  static_cast<int>(options.cost_model),
-                                  options.prune_paths_per_element ? 1 : 0));
+    const std::string context =
+        StrFormat("fig1 k=%zu model=%d prune=%d", options.k,
+                  static_cast<int>(options.cost_model),
+                  options.prune_paths_per_element ? 1 : 0);
+    ExpectIdenticalTopK(augmented, options, &scratch, context);
+    ExpectStopBoundsAgree(augmented, options, &scratch, context);
   }
 }
 
@@ -159,10 +205,11 @@ TEST(ExplorationDifferentialTest, LubmFixture) {
                                              {"department"}}) {
     const AugmentedGraph augmented = Augment(p, keywords);
     for (const ExplorationOptions& explore : OptionMatrix()) {
-      ExpectIdenticalTopK(
-          augmented, explore, &scratch,
+      const std::string context =
           StrFormat("lubm %s k=%zu model=%d", Join(keywords, "+").c_str(),
-                    explore.k, static_cast<int>(explore.cost_model)));
+                    explore.k, static_cast<int>(explore.cost_model));
+      ExpectIdenticalTopK(augmented, explore, &scratch, context);
+      ExpectStopBoundsAgree(augmented, explore, &scratch, context);
     }
   }
 }
@@ -212,6 +259,91 @@ TEST(ExplorationDifferentialTest, CorpusReplayRandomGraphs) {
   }
 }
 
+/// Ties at the k-th cost: four classes hang off one hub, each with a "beta"
+/// value, so the four alpha-hub-C_i-beta structures cost the same under
+/// every cost model. Whichever bound stops the run, the cut through the tie
+/// and the order inside it must not move.
+TEST(ExplorationDifferentialTest, TiesAtKthCostIndependentOfStopBound) {
+  Pipeline p = FromDataset(grasp::testing::MakeDataset({
+      R"(h a Hub)",        R"(h name "alpha")",
+      R"(x1 a C1)",        R"(x1 link h)",      R"(x1 tag "beta")",
+      R"(x2 a C2)",        R"(x2 link h)",      R"(x2 tag "beta")",
+      R"(x3 a C3)",        R"(x3 link h)",      R"(x3 tag "beta")",
+      R"(x4 a C4)",        R"(x4 link h)",      R"(x4 tag "beta")",
+  }));
+  const AugmentedGraph augmented = Augment(p, {"alpha", "beta"});
+  ExplorationScratch scratch;
+  for (CostModel model : {CostModel::kPathLength, CostModel::kPopularity,
+                          CostModel::kMatching}) {
+    ExplorationOptions options;
+    options.cost_model = model;
+    options.k = 20;
+    const auto full = SubgraphExplorer(augmented, options, &scratch).FindTopK();
+    ASSERT_GE(full.size(), 4u);
+    // The fixture's point: at least three structures share the 2nd cost.
+    std::size_t tied = 0;
+    for (const auto& sg : full) tied += sg.cost == full[1].cost ? 1 : 0;
+    ASSERT_GE(tied, 3u) << "model=" << static_cast<int>(model);
+
+    for (std::size_t k = 1; k <= 6; ++k) {
+      for (bool prune : {true, false}) {
+        options.k = k;
+        options.prune_paths_per_element = prune;
+        const std::string context =
+            StrFormat("ties k=%zu model=%d prune=%d", k,
+                      static_cast<int>(model), prune ? 1 : 0);
+        ExpectIdenticalTopK(augmented, options, &scratch, context);
+        ExpectStopBoundsAgree(augmented, options, &scratch, context);
+      }
+    }
+  }
+}
+
+/// Engine level: Search under either stop bound returns the same ranked
+/// queries — cost, tie-break keys and canonical form — for the paper's DBLP
+/// workloads (Fig. 5 Q1-Q10 and the Fig. 4 queries), so the tightened
+/// serving default cannot change an answer.
+TEST(ExplorationDifferentialTest, EngineRankingIndependentOfStopBound) {
+  grasp::testing::Dataset dblp;
+  datagen::GenerateDblp(datagen::DblpOptions{}, &dblp.dictionary, &dblp.store);
+  dblp.store.Finalize();
+  KeywordSearchEngine engine(dblp.store, dblp.dictionary);
+  std::vector<datagen::WorkloadQuery> workload =
+      datagen::DblpPerformanceWorkload();
+  for (auto& q : datagen::DblpEffectivenessWorkload()) {
+    workload.push_back(std::move(q));
+  }
+  ExplorationOptions plain = engine.options().exploration;
+  plain.tightened_bound = false;
+  ExplorationOptions tight = plain;
+  tight.tightened_bound = true;
+  for (const auto& q : workload) {
+    for (std::size_t k : {3u, 10u}) {
+      const std::string context = StrFormat("%s k=%zu", q.id.c_str(), k);
+      const auto expected = engine.Search(q.keywords, k, plain);
+      const auto actual = engine.Search(q.keywords, k, tight);
+      ASSERT_TRUE(expected.status.ok()) << context;
+      ASSERT_TRUE(actual.status.ok()) << context;
+      EXPECT_FALSE(expected.degraded) << context;
+      EXPECT_FALSE(actual.degraded) << context;
+      EXPECT_LE(actual.exploration_stats.cursors_popped,
+                expected.exploration_stats.cursors_popped)
+          << context;
+      ASSERT_EQ(actual.queries.size(), expected.queries.size()) << context;
+      for (std::size_t i = 0; i < expected.queries.size(); ++i) {
+        const auto& a = actual.queries[i];
+        const auto& e = expected.queries[i];
+        EXPECT_EQ(a.cost, e.cost) << context << " rank " << i;
+        EXPECT_EQ(a.structure_cost, e.structure_cost)
+            << context << " rank " << i;
+        EXPECT_EQ(a.constant_count, e.constant_count)
+            << context << " rank " << i;
+        EXPECT_EQ(a.canonical, e.canonical) << context << " rank " << i;
+      }
+    }
+  }
+}
+
 /// Seeded random TAP-style graphs (many classes, few instances) and random
 /// keyword sets drawn from the generator vocabulary, with randomized
 /// exploration options.
@@ -244,12 +376,13 @@ TEST_P(RandomizedDifferentialTest, TapStyleGraphs) {
     explore.cost_model = static_cast<CostModel>(1 + rng.NextBelow(3));
     explore.prune_paths_per_element = rng.NextBernoulli(0.7);
     explore.tightened_bound = rng.NextBernoulli(0.5);
-    ExpectIdenticalTopK(
-        augmented, explore, &scratch,
+    const std::string context =
         StrFormat("tap seed=%llu %s k=%zu dmax=%u model=%d",
                   static_cast<unsigned long long>(GetParam()),
                   Join(keywords, "+").c_str(), explore.k, explore.dmax,
-                  static_cast<int>(explore.cost_model)));
+                  static_cast<int>(explore.cost_model));
+    ExpectIdenticalTopK(augmented, explore, &scratch, context);
+    ExpectStopBoundsAgree(augmented, explore, &scratch, context);
   }
 }
 
@@ -279,13 +412,13 @@ TEST_P(RandomizedDifferentialTest, RandomGraphs) {
     explore.cost_model = static_cast<CostModel>(1 + rng.NextBelow(3));
     explore.prune_paths_per_element = rng.NextBernoulli(0.7);
     explore.tightened_bound = rng.NextBernoulli(0.5);
-    explore.distance_pruning = rng.NextBernoulli(0.3);
-    ExpectIdenticalTopK(
-        augmented, explore, &scratch,
+    const std::string context =
         StrFormat("random seed=%llu %s k=%zu dmax=%u model=%d",
                   static_cast<unsigned long long>(GetParam()),
                   Join(keywords, "+").c_str(), explore.k, explore.dmax,
-                  static_cast<int>(explore.cost_model)));
+                  static_cast<int>(explore.cost_model));
+    ExpectIdenticalTopK(augmented, explore, &scratch, context);
+    ExpectStopBoundsAgree(augmented, explore, &scratch, context);
   }
 }
 

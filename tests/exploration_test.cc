@@ -504,79 +504,6 @@ std::vector<TopKCase> MakeTopKCases() {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, TopKOracleTest,
                          ::testing::ValuesIn(MakeTopKCases()));
 
-// ------------------------------------------- distance-guided exploration --
-
-/// The BFS distance index itself, on the running example.
-TEST(DistanceIndexTest, Figure1Distances) {
-  Pipeline p = MakePipeline(grasp::testing::MakeFigure1Dataset(),
-                            {"2006", "aifb"});
-  auto index = summary::KeywordDistanceIndex::Build(*p.augmented);
-  ASSERT_EQ(index.num_keywords(), 2u);
-  // Keyword elements themselves are at distance 0.
-  for (std::size_t kw = 0; kw < 2; ++kw) {
-    for (const auto& se : p.augmented->keyword_elements()[kw]) {
-      EXPECT_EQ(index.Distance(kw, se.element), 0u);
-    }
-  }
-  // The '2006' value node reaches the 'aifb' value node via
-  // year-edge, Publication, author-edge, Researcher, worksAt-edge,
-  // Institute, name-edge, aifb: 8 hops.
-  const auto& k2006 = p.augmented->keyword_elements()[0];
-  ASSERT_FALSE(k2006.empty());
-  EXPECT_EQ(index.Distance(1, k2006[0].element), 8u);
-}
-
-TEST(DistanceIndexTest, UnreachableKeywordBlocksEverything) {
-  auto dataset = grasp::testing::MakeDataset({
-      R"(e1 a C1)", R"(e1 name "alpha")",
-      R"(e2 a C2)", R"(e2 name "beta")",
-  });
-  Pipeline p = MakePipeline(std::move(dataset), {"alpha", "beta"});
-  auto index = summary::KeywordDistanceIndex::Build(*p.augmented);
-  const auto& alpha = p.augmented->keyword_elements()[0];
-  ASSERT_FALSE(alpha.empty());
-  // From alpha's element, beta is unreachable: no cursor may start at all.
-  EXPECT_FALSE(index.CanStillConnect(0, alpha[0].element, 0, 12));
-}
-
-/// Soundness of the pruning: with distance_pruning on, the top-k result is
-/// identical to the unpruned run, while never creating more cursors.
-class DistancePruningTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DistancePruningTest, SameResultsFewerCursors) {
-  auto dataset = grasp::testing::MakeRandomDataset(GetParam(), 4, 12, 14, 3, 8, 4);
-  Pipeline p = MakePipeline(std::move(dataset), {"class0", "value1", "rel2"});
-  for (const auto& k_i : p.augmented->keyword_elements()) {
-    if (k_i.empty()) GTEST_SKIP();
-  }
-  for (CostModel model : {CostModel::kPathLength, CostModel::kMatching}) {
-    for (std::uint32_t dmax : {4u, 6u, 10u}) {
-      ExplorationOptions options;
-      options.k = 5;
-      options.dmax = dmax;
-      options.cost_model = model;
-
-      SubgraphExplorer plain(*p.augmented, options);
-      auto expected = plain.FindTopK();
-
-      options.distance_pruning = true;
-      SubgraphExplorer pruned(*p.augmented, options);
-      auto actual = pruned.FindTopK();
-
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t i = 0; i < actual.size(); ++i) {
-        EXPECT_NEAR(actual[i].cost, expected[i].cost, 1e-9);
-        EXPECT_EQ(actual[i].StructureKey(), expected[i].StructureKey());
-      }
-      EXPECT_LE(pruned.stats().cursors_created,
-                plain.stats().cursors_created);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DistancePruningTest,
-                         ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
-
 /// Theorem 1 as a property: pops happen in non-decreasing cost order on
 /// random graphs under all cost models.
 class Theorem1Test : public ::testing::TestWithParam<std::uint64_t> {};

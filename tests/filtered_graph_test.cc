@@ -571,7 +571,6 @@ TEST_P(RandomizedScopedDifferentialTest, RandomGraphsAndScopes) {
     options.cost_model = static_cast<CostModel>(1 + rng.NextBelow(3));
     options.prune_paths_per_element = rng.NextBernoulli(0.7);
     options.tightened_bound = rng.NextBernoulli(0.5);
-    options.distance_pruning = rng.NextBernoulli(0.3);
     ExpectIdenticalScopedTopK(
         augmented, &scoped, options, &scratch,
         StrFormat("random seed=%llu %s |scope|=%zu k=%zu dmax=%u model=%d",

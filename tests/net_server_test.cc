@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -183,6 +186,26 @@ TEST_F(NetServerTest, KeepAliveServesSequentialAndPipelinedRequests) {
   const std::string last = ReadResponse(fd.get(), &carry);
   EXPECT_EQ(StatusOf(last), 200);
   EXPECT_NE(last.find("ok"), std::string::npos);
+}
+
+TEST_F(NetServerTest, AcceptedSocketsSetTcpNodelay) {
+  // Without TCP_NODELAY on the server side, a reply written while the
+  // previous one is unacknowledged waits ~40 ms for the client's delayed ACK.
+  std::uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, 4, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  pollfd ready{listener->get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, 5000), 1);
+  OwnedFd accepted(AcceptRetry(listener->get()));
+  ASSERT_TRUE(accepted.valid());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 TEST_F(NetServerTest, MalformedInputsRejectWithDefiniteStatuses) {

@@ -193,32 +193,54 @@ TEST(PartialResultTest, RandomGraphsPrefixPropertyHoldsAcrossOptionSweep) {
         grasp::testing::MakeRandomDataset(seed, 4, 60, 120, 6, 60, 12));
     const AugmentedGraph augmented = Augment(p, {"value1", "class1"});
 
+    // Index 0 = the paper's plain bound, 1 = the tightened default. Both
+    // complete rankings must be the same; at an equal stop point the
+    // tightened verified prefix can only be longer, because its stop bound
+    // adds the completion floor to the same pending cursor cost.
+    ExplorationOptions unbounded[2];
+    std::vector<MatchingSubgraph> full[2];
+    std::string base[2];
     for (const bool tightened : {false, true}) {
-      ExplorationOptions unbounded;
-      unbounded.k = 5;
-      unbounded.tightened_bound = tightened;
-      const std::string base = "seed=" + std::to_string(seed) +
-                               " tightened=" + std::to_string(tightened);
-      const auto full = RunBoth(augmented, unbounded, nullptr, base);
+      unbounded[tightened].k = 5;
+      unbounded[tightened].tightened_bound = tightened;
+      base[tightened] = "seed=" + std::to_string(seed) +
+                        " tightened=" + std::to_string(tightened);
+      full[tightened] =
+          RunBoth(augmented, unbounded[tightened], nullptr, base[tightened]);
+    }
+    ExpectExactPrefix(full[1], full[0], base[1] + " vs plain");
+    EXPECT_EQ(full[1].size(), full[0].size()) << base[1];
 
-      serve::QueryControl expired;
-      expired.SetDeadline(LongAgo());
-      for (std::uint32_t interval : {1u, 3u, 9u, 27u, 81u}) {
-        ExplorationOptions timed = unbounded;
+    serve::QueryControl expired;
+    expired.SetDeadline(LongAgo());
+    for (std::uint32_t interval : {1u, 3u, 9u, 27u, 81u}) {
+      std::size_t prefix_size[2];
+      for (const bool tightened : {false, true}) {
+        ExplorationOptions timed = unbounded[tightened];
         timed.control = &expired;
         timed.control_poll_interval = interval;
         const std::string context =
-            base + " interval=" + std::to_string(interval);
+            base[tightened] + " interval=" + std::to_string(interval);
         const auto partial = RunBoth(augmented, timed, nullptr, context);
-        ExpectExactPrefix(partial, full, context);
+        ExpectExactPrefix(partial, full[tightened], context);
+        prefix_size[tightened] = partial.size();
       }
-      for (std::size_t budget : {1u, 4u, 16u, 64u, 256u}) {
-        ExplorationOptions capped = unbounded;
+      EXPECT_GE(prefix_size[1], prefix_size[0])
+          << "seed=" << seed << " interval=" << interval;
+    }
+    for (std::size_t budget : {1u, 4u, 16u, 64u, 256u}) {
+      std::size_t prefix_size[2];
+      for (const bool tightened : {false, true}) {
+        ExplorationOptions capped = unbounded[tightened];
         capped.max_cursor_pops = budget;
-        const std::string context = base + " budget=" + std::to_string(budget);
+        const std::string context =
+            base[tightened] + " budget=" + std::to_string(budget);
         const auto partial = RunBoth(augmented, capped, nullptr, context);
-        ExpectExactPrefix(partial, full, context);
+        ExpectExactPrefix(partial, full[tightened], context);
+        prefix_size[tightened] = partial.size();
       }
+      EXPECT_GE(prefix_size[1], prefix_size[0])
+          << "seed=" << seed << " budget=" << budget;
     }
   }
 }
