@@ -1,4 +1,5 @@
-// Ablation of the design choices called out in DESIGN.md §8:
+// Ablation of the design choices listed in PAPER.md ("Substitutions",
+// Ablations):
 //   1. per-(element, keyword) path cap (the k*|K|*|G| space bound of
 //      Sec. VI-C) on vs off,
 //   2. the paper's TA bound (min cursor cost) vs the tightened bound

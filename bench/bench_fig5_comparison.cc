@@ -8,7 +8,8 @@
 //   - "bidirect":  bidirectional expansion on the data graph [14].
 //   - "backward":  BANKS-style backward expansion [1] (extra reference).
 //   - "{1000,300} x {BFS,METIS}": BLINKS-style block-index search [2]
-//                  (METIS is substituted by the greedy refiner, DESIGN.md §5).
+//                  (METIS is substituted by the greedy refiner; see
+//                  PAPER.md, "Substitutions").
 //
 // Expected shape (paper): ours beats bidirect by about an order of magnitude
 // on most queries and degrades least as the keyword count grows (Q7-Q10);
@@ -115,7 +116,8 @@ int main() {
   }
   grasp::bench::Rule(96);
   std::printf(
-      "*METIS substituted by the greedy min-cut refiner (DESIGN.md §5).\n"
+      "*METIS substituted by the greedy min-cut refiner (PAPER.md, "
+      "Substitutions).\n"
       "BLINKS index build (ms): 1000BFS=%.1f 1000METIS*=%.1f 300BFS=%.1f "
       "300METIS*=%.1f\n",
       blinks_1000_bfs.build_millis(), blinks_1000_greedy.build_millis(),

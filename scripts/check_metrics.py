@@ -12,11 +12,7 @@ Checks, in order:
   3. Histogram structure, per labeled series: cumulative bucket counts are
      nondecreasing in `le` order, the +Inf bucket exists, and _count
      equals the +Inf cumulative count exactly.
-  4. Shard labels: every per-shard family (grasp_shard_*, except the
-     registry-wide grasp_shard_merge_* instruments) must carry a `shard`
-     label whose value is a nonnegative integer — a missing or free-form
-     shard label would silently sum the per-shard series.
-  5. Cross-scrape monotonicity (when BASELINE is given): every counter,
+  4. Cross-scrape monotonicity (when BASELINE is given): every counter,
      histogram _count, and cumulative bucket present in BASELINE must
      still exist in SCRAPE with a value >= its baseline value. Counters
      going backwards mean a metric got re-registered or raced.
@@ -157,31 +153,6 @@ def check_structure(types, samples, errors, origin):
             errors.append(f"{origin}: {family}{rest} has no _sum")
 
 
-def check_shard_labels(samples, errors, origin):
-    """Per-shard families must be distinguishable by a well-formed shard
-    label; merge-level instruments (grasp_shard_merge_*) aggregate across
-    shards and are exempt."""
-    for name, labels in samples:
-        if not name.startswith("grasp_shard_"):
-            continue
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if family.endswith(suffix):
-                family = family[: -len(suffix)]
-                break
-        if family.startswith("grasp_shard_merge_"):
-            continue
-        label_map = dict(LABEL_RE.findall(labels[1:-1] if labels else ""))
-        shard = label_map.get("shard")
-        if shard is None:
-            errors.append(f"{origin}: {name}{labels} lacks a shard label")
-        elif not shard.isdigit():
-            errors.append(
-                f"{origin}: {name}{labels} shard label '{shard}' is not a "
-                f"nonnegative integer"
-            )
-
-
 def check_monotone(base_types, base_samples, types, samples, errors):
     for (name, labels), base_value in base_samples.items():
         family, ftype = family_of(name, base_types)
@@ -210,7 +181,6 @@ def main(argv):
     if not samples:
         errors.append(f"{argv[1]}: no samples at all")
     check_structure(types, samples, errors, argv[1])
-    check_shard_labels(samples, errors, argv[1])
     if len(argv) == 3:
         with open(argv[2], encoding="utf-8") as f:
             base_types, base_samples = parse(f.read(), errors, argv[2])

@@ -19,7 +19,7 @@ namespace grasp::baseline {
 /// from every portal. At query time the search runs on the much smaller
 /// portal graph, expanding whole blocks at once.
 ///
-/// Faithfulness note (see DESIGN.md §5): full BLINKS additionally indexes
+/// Faithfulness note (see PAPER.md, "Substitutions"): full BLINKS additionally indexes
 /// node-to-keyword distance lists; this reproduction restricts answer roots
 /// to portal/origin vertices instead, which preserves the runtime shape the
 /// figure compares (indexed search beats raw expansion; index size and

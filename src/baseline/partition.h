@@ -14,7 +14,8 @@ using BlockId = std::uint32_t;
 /// "BFS" and "METIS" partitionings at 300 and 1000 blocks). METIS itself is
 /// closed off to this reproduction, so `kGreedy` implements a multilevel-
 /// flavoured substitute: BFS seeding followed by local-move refinement that
-/// reduces the edge cut under a balance constraint (see DESIGN.md §5).
+/// reduces the edge cut under a balance constraint (see PAPER.md,
+/// "Substitutions").
 enum class PartitionMethod { kBfs, kGreedy };
 
 struct Partition {
@@ -26,11 +27,9 @@ struct Partition {
   std::size_t CutSize(const rdf::DataGraph& graph) const;
 
   /// Cut restricted to the edge kinds whose EdgeKindBit is set in
-  /// `kind_mask`. The all-kinds overload over-reports the cut a sharded
-  /// deployment pays: attribute/type/subclass edges end at value or class
-  /// vertices that are replicated (or derived) everywhere, so only
-  /// entity-entity relation edges — EdgeKindBit(EdgeKind::kRelation) —
-  /// cross shard boundaries at query time.
+  /// `kind_mask`. The all-kinds overload also counts attribute/type/subclass
+  /// edges, which end at value or class vertices; masking to
+  /// EdgeKindBit(EdgeKind::kRelation) counts only entity-entity links.
   std::size_t CutSize(const rdf::DataGraph& graph, unsigned kind_mask) const;
 };
 

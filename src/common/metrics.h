@@ -77,8 +77,8 @@ class Gauge {
 ///
 /// Record() is wait-free: one fetch_add on the bucket and one on the value
 /// sum. Snapshots are mergeable across histograms with the same layout
-/// (there is only one layout), which is what per-shard aggregation will
-/// lean on later.
+/// (there is only one layout), so labeled series of one family can be
+/// summed into a single distribution.
 class Histogram {
  public:
   static constexpr int kSubBucketBits = 2;           // 4 sub-buckets/octave

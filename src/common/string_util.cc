@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -18,6 +19,17 @@ std::vector<std::string> Split(std::string_view text, char sep) {
     pieces.emplace_back(text.substr(begin, end - begin));
     begin = end + 1;
   }
+}
+
+std::optional<std::uint64_t> ParseUint(std::string_view text,
+                                       std::uint64_t max) {
+  // from_chars accepts no sign or whitespace for unsigned types and
+  // reports overflow, so only the full-consumption and bound checks remain.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view text) {

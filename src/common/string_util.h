@@ -1,6 +1,8 @@
 #ifndef GRASP_COMMON_STRING_UTIL_H_
 #define GRASP_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +29,13 @@ std::string_view Trim(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// Parses `text` as a decimal unsigned integer no greater than `max`.
+/// Rejects empty input, any sign, leading or trailing bytes, and values
+/// that overflow or exceed `max` — command-line flags must not wrap or
+/// turn "-1" into SIZE_MAX.
+std::optional<std::uint64_t> ParseUint(std::string_view text,
+                                       std::uint64_t max);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

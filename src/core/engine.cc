@@ -125,21 +125,14 @@ void KeywordSearchEngine::RecordSearchMetrics(const SearchResult& result) const 
       ->Increment();
 }
 
-Status KeywordSearchEngine::SaveIndex(
-    const std::string& path, std::span<const std::uint32_t> shard_plan) const {
+Status KeywordSearchEngine::SaveIndex(const std::string& path) const {
   snapshot::EngineParts parts;
   parts.dictionary = dictionary_;
   parts.store = store_;
   parts.data_graph = &data_graph_;
   parts.summary = &summary_;
   parts.keyword_index = &keyword_index_;
-  parts.shard_plan = shard_plan;
   return snapshot::WriteEngineSnapshot(parts, path);
-}
-
-std::span<const std::uint32_t> KeywordSearchEngine::loaded_shard_plan() const {
-  return loaded_ != nullptr ? loaded_->shard_plan
-                            : std::span<const std::uint32_t>{};
 }
 
 Result<std::unique_ptr<KeywordSearchEngine>> KeywordSearchEngine::Open(
@@ -306,7 +299,7 @@ KeywordSearchEngine::AcquireAugmentation(
 KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
     const std::vector<std::string>& keywords, std::size_t k,
     const ExplorationOptions& exploration,
-    std::span<const std::string> predicate_scope, bool shard_payload) const {
+    std::span<const std::string> predicate_scope) const {
   SearchResult result;
   WallTimer total;
 
@@ -408,7 +401,6 @@ KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
   explore.k = std::max<std::size_t>(
       k, static_cast<std::size_t>(
              std::ceil(static_cast<double>(k) * options_.subgraph_overfetch)));
-  result.explored_k = explore.k;
   struct ScratchLease {  // returns the scratch to the pool on every exit path
     FreeListPool<ExplorationScratch>& pool;
     FreeListPool<ExplorationScratch>::Lease lease;
@@ -453,9 +445,7 @@ KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
   // Tie-break keys (structural popularity cost, constant count, canonical
   // serialization) are computed once per kept candidate here — the final
   // sort used to recompute all three inside its comparator, paying
-  // O(n log n) canonical-string rebuilds on tie-heavy rankings. They also
-  // ride along in the shard payload so the gather merges on exactly the
-  // keys the unsharded sort would have used.
+  // O(n log n) canonical-string rebuilds on tie-heavy rankings.
   const CostFunction popularity(CostModel::kPopularity, augmented);
   auto structure_cost = [&popularity](const MatchingSubgraph& sg) {
     double cost = 0.0;
@@ -494,14 +484,6 @@ KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
     query::ConjunctiveQuery q = MapToQuery(augmented, subgraph, context);
     if (q.empty()) continue;
     std::string canonical = q.CanonicalString();
-    if (shard_payload) {
-      // Raw payload for the sharded gather: every mapped candidate, in
-      // explorer ranked order; canonical dedup, final sort, and truncation
-      // are replayed by the merge over all shards' payloads.
-      result.queries.push_back(make_ranked(std::move(q), std::move(canonical),
-                                           std::move(subgraph)));
-      continue;
-    }
     auto it = seen.find(canonical);
     if (it != seen.end()) {
       // Keep the cheaper representative.
@@ -521,20 +503,18 @@ KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
   // the whole structure breaks those ties in favour of the more common
   // classes. The tie-break chain is part of the engine and identical for
   // all cost models — the models differ only in the path costs themselves.
-  if (!shard_payload) {
-    std::sort(result.queries.begin(), result.queries.end(),
-              [](const RankedQuery& a, const RankedQuery& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                if (a.structure_cost != b.structure_cost) {
-                  return a.structure_cost < b.structure_cost;
-                }
-                if (a.constant_count != b.constant_count) {
-                  return a.constant_count < b.constant_count;
-                }
-                return a.canonical < b.canonical;
-              });
-    if (result.queries.size() > k) result.queries.resize(k);
-  }
+  std::sort(result.queries.begin(), result.queries.end(),
+            [](const RankedQuery& a, const RankedQuery& b) {
+              if (a.cost != b.cost) return a.cost < b.cost;
+              if (a.structure_cost != b.structure_cost) {
+                return a.structure_cost < b.structure_cost;
+              }
+              if (a.constant_count != b.constant_count) {
+                return a.constant_count < b.constant_count;
+              }
+              return a.canonical < b.canonical;
+            });
+  if (result.queries.size() > k) result.queries.resize(k);
   result.mapping_millis = step.ElapsedMillis();
   result.total_millis = total.ElapsedMillis();
   RecordSearchMetrics(result);
@@ -559,7 +539,7 @@ KeywordSearchEngine::SearchBatch(std::span<const KeywordQuery> queries,
     return results;
   }
 
-  // Dynamic sharding over an atomic ticket: queries vary wildly in cost
+  // Dynamic scheduling over an atomic ticket: queries vary wildly in cost
   // (cache hits vs cold augmentations, early-terminating vs exhaustive
   // explorations), so static partitioning would straggle.
   std::atomic<std::size_t> next{0};

@@ -40,7 +40,7 @@ namespace grasp::core {
 /// per-query mutable state (exploration scratch, augmentation overlays)
 /// comes from lock-free free-list pools over the shared immutable indexes,
 /// and repeated keyword-element sets share one cached augmentation.
-/// SearchBatch() shards a whole workload across a worker pool.
+/// SearchBatch() spreads a whole workload across a worker pool.
 class KeywordSearchEngine {
  public:
   struct Options {
@@ -90,8 +90,7 @@ class KeywordSearchEngine {
     /// Final-ranking tie-break keys, precomputed once at mapping time (the
     /// sort comparator used to recompute all three per comparison):
     /// canonical query serialization, structural (constant-free) cost, and
-    /// the number of constant terms. The sharded gather merges on exactly
-    /// these keys, so merged order is the unsharded order by construction.
+    /// the number of constant terms.
     std::string canonical;
     double structure_cost = 0.0;
     std::size_t constant_count = 0;
@@ -114,11 +113,6 @@ class KeywordSearchEngine {
     /// SearchBatch propagates it per entry.
     bool degraded = false;
     ExplorationStats exploration_stats;
-    /// The exploration's effective k — max(k, k * subgraph_overfetch) — the
-    /// number of ranked structures the explorer was asked for. The sharded
-    /// gather truncates the merged candidate list at this depth before
-    /// applying the completeness cut, mirroring the unsharded pipeline.
-    std::size_t explored_k = 0;
     std::vector<std::size_t> matches_per_keyword;
     bool augmentation_cache_hit = false;
     double keyword_millis = 0.0;
@@ -144,16 +138,6 @@ class KeywordSearchEngine {
     /// admission layer sets the deadline, the caller may cancel. nullptr =
     /// uncontrolled.
     const serve::QueryControl* control = nullptr;
-    /// Sharding: restricts candidate generation to owned connecting
-    /// elements (see CandidateScope). Must outlive the query. nullptr =
-    /// own everything.
-    const CandidateScope* candidate_scope = nullptr;
-    /// Sharding: return the raw per-candidate payload for the gatherer —
-    /// every mapped candidate in explorer ranked order, without the final
-    /// canonical dedup, final sort, or truncation to k. Only the sharded
-    /// engine sets this; its gather replays those pipeline steps on the
-    /// merged list.
-    bool shard_payload = false;
   };
 
   /// Index footprints and preprocessing time (Fig. 6b). The serving-state
@@ -218,16 +202,7 @@ class KeywordSearchEngine {
   /// table, data graph, summary graph, keyword index) into one mmap-able
   /// snapshot image at `path`. A later Open() serves its first query
   /// without re-parsing or rebuilding anything.
-  Status SaveIndex(const std::string& path) const {
-    return SaveIndex(path, {});
-  }
-
-  /// As above, additionally persisting a serialized shard plan (see
-  /// shard::ShardPlan::Serialize — [num_shards, per-vertex block ids...])
-  /// as an optional snapshot section. Readers without sharding ignore it;
-  /// ShardedEngine::Open requires it. Empty span = no plan section.
-  Status SaveIndex(const std::string& path,
-                   std::span<const std::uint32_t> shard_plan) const;
+  Status SaveIndex(const std::string& path) const;
 
   /// Warm start: maps a SaveIndex() image and constructs an engine whose
   /// flat index arrays point zero-copy into the mapping. The returned
@@ -262,40 +237,21 @@ class KeywordSearchEngine {
   SearchResult Search(const std::vector<std::string>& keywords, std::size_t k,
                       const ExplorationOptions& exploration,
                       std::span<const std::string> predicate_scope = {}) const {
-    return SearchImpl(keywords, k, exploration, predicate_scope,
-                      /*shard_payload=*/false);
-  }
-
-  /// Sharding building block: the full-control Search, but returning the
-  /// raw per-candidate payload — every mapped candidate in explorer ranked
-  /// order with precomputed tie-break keys, no final dedup/sort/truncation
-  /// (see KeywordQuery::shard_payload). The shard's candidate scope rides
-  /// in `exploration.candidate_scope`. ShardedEngine's gather replays the
-  /// skipped pipeline steps on the merged lists.
-  SearchResult SearchShardPayload(
-      const std::vector<std::string>& keywords, std::size_t k,
-      const ExplorationOptions& exploration,
-      std::span<const std::string> predicate_scope = {}) const {
-    return SearchImpl(keywords, k, exploration, predicate_scope,
-                      /*shard_payload=*/true);
+    return SearchImpl(keywords, k, exploration, predicate_scope);
   }
 
   /// Scope-aware entry point: runs `query` with its predicate scope (and
   /// its per-query k). SearchBatch serves every workload entry through
-  /// this, so scoped and unscoped queries mix freely in one batch. The
-  /// shard fields (candidate_scope, shard_payload) pass through — this is
-  /// the entry point ShardedEngine scatters on.
+  /// this, so scoped and unscoped queries mix freely in one batch.
   SearchResult Search(const KeywordQuery& query) const {
     const std::size_t k = query.k > 0 ? query.k : options_.exploration.k;
     ExplorationOptions exploration = options_.exploration;
     exploration.control = query.control;
-    exploration.candidate_scope = query.candidate_scope;
-    return SearchImpl(query.keywords, k, exploration, query.predicate_scope,
-                      query.shard_payload);
+    return SearchImpl(query.keywords, k, exploration, query.predicate_scope);
   }
 
   /// Serves `queries` on `num_threads` workers (0 = hardware concurrency)
-  /// sharding independent queries over the shared immutable summary;
+  /// spreading independent queries over the shared immutable summary;
   /// results[i] corresponds to queries[i] and is byte-identical to a serial
   /// Search(queries[i]). The per-thread state comes from the engine's
   /// scratch/overlay pools, so a steady-state batch allocates per result,
@@ -309,10 +265,6 @@ class KeywordSearchEngine {
                                     std::size_t limit = 0) const;
 
   const rdf::DataGraph& data_graph() const { return data_graph_; }
-  /// The shard plan loaded from a warm-started snapshot (serialized form —
-  /// see SaveIndex(path, shard_plan)); empty for cold-built engines and
-  /// for snapshots written without a plan. Valid while the engine lives.
-  std::span<const std::uint32_t> loaded_shard_plan() const;
   const summary::SummaryGraph& summary_graph() const { return summary_; }
   const keyword::KeywordIndex& keyword_index() const { return keyword_index_; }
   const rdf::Dictionary& dictionary() const { return *dictionary_; }
@@ -355,13 +307,10 @@ class KeywordSearchEngine {
                       const rdf::Dictionary& dictionary, Options options,
                       Prebuilt prebuilt);
 
-  /// The whole search pipeline. `shard_payload` switches the mapping step
-  /// into raw-candidate mode (no canonical dedup, no final sort, no
-  /// truncation to k) for the sharded gather.
+  /// The whole search pipeline.
   SearchResult SearchImpl(const std::vector<std::string>& keywords,
                           std::size_t k, const ExplorationOptions& exploration,
-                          std::span<const std::string> predicate_scope,
-                          bool shard_payload) const;
+                          std::span<const std::string> predicate_scope) const;
 
   /// Registers the `grasp_engine_*` instruments when options_.metrics is
   /// set; called once at construction so Search() only loads cached
@@ -453,48 +402,6 @@ class KeywordSearchEngine {
   mutable std::mutex scope_mutex_;
   mutable std::unordered_map<std::string, std::shared_ptr<const ScopeFilter>>
       scope_cache_;
-};
-
-/// What the serving layer needs from whatever answers queries — one engine
-/// or the sharded scatter-gather engine. Implementations must be
-/// thread-safe; Search carries the same verified-prefix contract as
-/// KeywordSearchEngine::Search (OK + degraded, kCancelled on cancel).
-class SearchBackend {
- public:
-  virtual ~SearchBackend() = default;
-  /// The exploration defaults the admission layer derives per-request
-  /// options (k, pop budget, control) from.
-  virtual const ExplorationOptions& default_exploration() const = 0;
-  /// The registry the backend records into, for the serving layer's
-  /// fallback registry resolution. May be nullptr.
-  virtual metrics::Registry* metrics_registry() const = 0;
-  virtual KeywordSearchEngine::SearchResult Search(
-      const std::vector<std::string>& keywords, std::size_t k,
-      const ExplorationOptions& exploration,
-      std::span<const std::string> predicate_scope) const = 0;
-};
-
-/// SearchBackend over a single KeywordSearchEngine (the unsharded
-/// deployment). The engine must outlive the backend.
-class EngineBackend final : public SearchBackend {
- public:
-  explicit EngineBackend(const KeywordSearchEngine& engine)
-      : engine_(&engine) {}
-  const ExplorationOptions& default_exploration() const override {
-    return engine_->options().exploration;
-  }
-  metrics::Registry* metrics_registry() const override {
-    return engine_->options().metrics;
-  }
-  KeywordSearchEngine::SearchResult Search(
-      const std::vector<std::string>& keywords, std::size_t k,
-      const ExplorationOptions& exploration,
-      std::span<const std::string> predicate_scope) const override {
-    return engine_->Search(keywords, k, exploration, predicate_scope);
-  }
-
- private:
-  const KeywordSearchEngine* engine_;
 };
 
 }  // namespace grasp::core

@@ -293,8 +293,7 @@ void SubgraphExplorer::GenerateCandidates(summary::ElementId n,
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     // Discovery coordinate: pop ordinal + 1-based combination index at this
     // event. Both explorers enumerate combinations with the same best-first
-    // successor rule, so the coordinate is identical across them — and
-    // across shards, whose pop streams replay the unsharded run.
+    // successor rule, so the coordinate is identical across them.
     const std::uint64_t discovery =
         (static_cast<std::uint64_t>(stats_.cursors_popped) << 20) |
         static_cast<std::uint64_t>(std::min<std::size_t>(combinations,
@@ -436,14 +435,7 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
     if (record) {
       scratch_->paths.AppendTo(path_list, cursor_idx);  // Alg. 1: addCursor
       ++stats_.paths_recorded;
-      // Sharded runs only *emit* candidates at connecting elements this
-      // shard owns; recording and expansion above are untouched, so the pop
-      // stream (and hence the stop point) can only extend past the
-      // unsharded run's, never diverge from it.
-      if (options_.candidate_scope == nullptr ||
-          options_.candidate_scope->OwnsConnector(*graph_, n)) {
-        GenerateCandidates(n, cursor_idx);  // Alg. 2 body
-      }
+      GenerateCandidates(n, cursor_idx);  // Alg. 2 body
 
       // Alg. 1, lines 13-22: expand to all neighbors except the parent,
       // refusing cyclic paths. Incident CSR/overlay runs are iterated

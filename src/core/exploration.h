@@ -15,21 +15,6 @@
 
 namespace grasp::core {
 
-/// Restricts which connecting elements may generate candidates. A sharded
-/// deployment runs the full exploration on every shard — identical pops,
-/// identical path recording — but each shard only *emits* candidates at the
-/// connecting elements it owns, so the per-structure work (combination
-/// enumeration, dedup, materialization, ranking) partitions across shards
-/// while the traversal stays byte-identical to the unsharded run. Must be
-/// pure (same answer for the same element every time) and thread-safe.
-class CandidateScope {
- public:
-  virtual ~CandidateScope() = default;
-  /// True when this scope generates candidates at connecting element `n`.
-  virtual bool OwnsConnector(const summary::AugmentedGraph& graph,
-                             summary::ElementId n) const = 0;
-};
-
 /// Parameters of Algorithms 1 and 2 (Sec. VI).
 struct ExplorationOptions {
   /// Number of matching subgraphs to compute (the paper's k).
@@ -82,13 +67,6 @@ struct ExplorationOptions {
   /// microseconds of work, large enough that the poll (and its clock read)
   /// stays invisible next to a pop's graph traffic.
   std::uint32_t control_poll_interval = 32;
-  /// Candidate-generation ownership for sharded runs: when non-null, only
-  /// connecting elements the scope owns generate candidates. Exploration —
-  /// pops, recording, expansion, termination bookkeeping other than the
-  /// candidate list — is unaffected, so a scoped run pops a superset of the
-  /// unsharded run's stream (it can only terminate later, never earlier).
-  /// Must outlive the exploration. nullptr = own everything (unsharded).
-  const CandidateScope* candidate_scope = nullptr;
 };
 
 /// Counters exposed for benchmarks and tests.
@@ -107,9 +85,9 @@ struct ExplorationStats {
   /// with cost strictly below this bound either is in the returned ranking
   /// or dedups against a returned structure of equal-or-lower cost. On a
   /// run-to-completion this is the final remaining-cost lower bound; on an
-  /// early stop it is the verified stop bound. The sharded gather cuts the
-  /// merged ranking at the minimum of the shards' certificates — that
-  /// prefix is provably identical to the unsharded ranking's prefix.
+  /// early stop it is the verified stop bound. Both explorers compute it
+  /// bit-identically (tests/partial_result_test.cc pins that, and that a
+  /// stopped run's prefix holds every cheaper entry of the full ranking).
   double complete_below = std::numeric_limits<double>::infinity();
   /// True when the run stopped before either natural end state — on budget,
   /// cancel, or deadline — so the returned ranking is the verified prefix

@@ -382,12 +382,7 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
     if (record) {
       paths.push_back(cursor_idx);  // Alg. 1, line 11: n.addCursor(c)
       ++stats_.paths_recorded;
-      // Same ownership gate as SubgraphExplorer: sharded runs emit
-      // candidates only at owned connecting elements.
-      if (options_.candidate_scope == nullptr ||
-          options_.candidate_scope->OwnsConnector(*graph_, n)) {
-        GenerateCandidates(n, cursor_idx);  // Alg. 2 body
-      }
+      GenerateCandidates(n, cursor_idx);  // Alg. 2 body
 
       // Alg. 1, lines 13-22: expand to all neighbors except the parent,
       // refusing cyclic paths.

@@ -40,9 +40,8 @@ struct MatchingSubgraph {
   /// Discovery coordinate of the decomposition that achieved `cost`:
   /// (cursors_popped << 20) | combination-index at the generating event.
   /// Both explorers enumerate combinations identically, so the coordinate
-  /// is a total order on generation events that is stable across runs —
-  /// the sharded gather uses it to pick the same winning decomposition the
-  /// unsharded run would keep when two shards discover one structure.
+  /// is a total order on generation events that is stable across runs;
+  /// the explorer differential suite compares it entry by entry.
   std::uint64_t discovery = 0;
 
   /// Identity of the subgraph as a structure (independent of path

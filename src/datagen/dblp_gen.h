@@ -13,7 +13,7 @@ inline constexpr char kDblpNs[] = "http://dblp.example.org/";
 
 /// Parameters of the synthetic bibliographic dataset standing in for the
 /// real DBLP dump (26M triples in the paper; size here is a parameter —
-/// see DESIGN.md §5). The generator reproduces DBLP's *shape*: very few
+/// see PAPER.md, "Substitutions"). The generator reproduces DBLP's *shape*: very few
 /// classes and relations, a huge number of V-vertices (titles, names,
 /// years), Zipfian author productivity, and venue/citation structure.
 struct DblpOptions {

@@ -48,7 +48,7 @@ struct WorkloadQuery {
 /// The 30 DBLP keyword queries of the effectiveness study (Fig. 4). The
 /// paper collected these from 12 assessors; this reproduction ships an
 /// executable equivalent against the generator's anchor entities (see
-/// DESIGN.md §5).
+/// PAPER.md, "Substitutions").
 std::vector<WorkloadQuery> DblpEffectivenessWorkload();
 
 /// Q1-Q10 of the performance comparison (Fig. 5), ordered by keyword count

@@ -51,30 +51,17 @@ std::size_t DeadlineCalibrator::BudgetForDeadline(double deadline_millis,
   return static_cast<std::size_t>(budget);
 }
 
-QueryServer::QueryServer(const core::SearchBackend& backend, Options options)
-    : backend_(&backend),
-      options_(options),
-      calibrator_(options.ewma_alpha, options.initial_pops_per_ms),
-      slow_log_(options.slow_query_log_capacity) {
-  Init();
-}
-
 QueryServer::QueryServer(const core::KeywordSearchEngine& engine,
                          Options options)
-    : owned_backend_(std::make_unique<core::EngineBackend>(engine)),
-      backend_(owned_backend_.get()),
+    : engine_(&engine),
       options_(options),
       calibrator_(options.ewma_alpha, options.initial_pops_per_ms),
       slow_log_(options.slow_query_log_capacity) {
-  Init();
-}
-
-void QueryServer::Init() {
-  // Registry fallback: the caller's, else the backend's (so one registry
+  // Registry fallback: the caller's, else the engine's (so one registry
   // spans the tiers when grasp_serve wired it through), else our own.
   metrics_ = options_.metrics != nullptr ? options_.metrics
-             : backend_->metrics_registry() != nullptr
-                 ? backend_->metrics_registry()
+             : engine.options().metrics != nullptr
+                 ? engine.options().metrics
                  : (owned_metrics_ = std::make_unique<metrics::Registry>())
                        .get();
   InitMetrics();
@@ -278,7 +265,7 @@ QueryServer::Response QueryServer::RunQuery(Pending pending) {
   // Deadline → budget: the EWMA-calibrated pop budget is the primary stop
   // (deterministic, no clock in the hot loop); the polled deadline backstops
   // it when the calibration was optimistic.
-  core::ExplorationOptions exploration = backend_->default_exploration();
+  core::ExplorationOptions exploration = engine_->options().exploration;
   exploration.control = &control;
   exploration.control_poll_interval = options_.control_poll_interval;
   if (control.has_deadline() && std::isfinite(remaining)) {
@@ -291,10 +278,10 @@ QueryServer::Response QueryServer::RunQuery(Pending pending) {
   }
   const std::size_t k = pending.request.query.k > 0
                             ? pending.request.query.k
-                            : backend_->default_exploration().k;
-  response.result = backend_->Search(pending.request.query.keywords, k,
-                                     exploration,
-                                     pending.request.query.predicate_scope);
+                            : engine_->options().exploration.k;
+  response.result = engine_->Search(pending.request.query.keywords, k,
+                                    exploration,
+                                    pending.request.query.predicate_scope);
   response.status = response.result.status;
   response.degraded = response.result.degraded;
   response.total_millis =

@@ -129,13 +129,7 @@ class QueryServer {
     std::uint64_t cancelled = 0;      ///< cancelled in queue or at shutdown
   };
 
-  /// `backend` must outlive the server. Anything implementing
-  /// core::SearchBackend can sit behind the admission layer — a single
-  /// engine (EngineBackend) or a sharded scatter-gather deployment
-  /// (shard::ShardedEngine).
-  QueryServer(const core::SearchBackend& backend, Options options);
-  /// Convenience for the common unsharded case: wraps `engine` in an
-  /// owned EngineBackend. `engine` must outlive the server.
+  /// `engine` must outlive the server.
   QueryServer(const core::KeywordSearchEngine& engine, Options options);
   ~QueryServer();
 
@@ -190,9 +184,6 @@ class QueryServer {
     std::vector<std::thread> workers;
   };
 
-  /// Shared tail of both constructors: registry fallback resolution,
-  /// instrument registration, lane worker spawn.
-  void Init();
   void WorkerLoop(Lane* lane);
   Response RunQuery(Pending pending);
   /// Registers the `grasp_serve_*` instruments on metrics_; called once
@@ -203,9 +194,7 @@ class QueryServer {
   /// the current service estimate rather than infinity.
   double RetryAfterMillis(std::size_t queue_len, std::size_t workers) const;
 
-  /// Set only by the convenience engine ctor; backend_ then points at it.
-  std::unique_ptr<core::EngineBackend> owned_backend_;
-  const core::SearchBackend* backend_;
+  const core::KeywordSearchEngine* engine_;
   Options options_;
   DeadlineCalibrator calibrator_;
 

@@ -204,11 +204,6 @@ Status WriteEngineSnapshot(const EngineParts& parts, const std::string& path) {
   writer.AddSection(kSectionIiDocTermCounts, ii.doc_term_counts());
   writer.AddSection(kSectionIiBucketOffsets, ii.bucket_offsets());
   writer.AddSection(kSectionIiBucketTerms, ii.bucket_terms());
-  if (!parts.shard_plan.empty()) {
-    GRASP_CHECK(parts.shard_plan.size() == graph.NumVertices() + 1)
-        << "shard plan does not cover the vertex set";
-    writer.AddSection(kSectionShardPlan, parts.shard_plan);
-  }
   return writer.WriteFile(path);
 }
 
@@ -538,23 +533,6 @@ Result<LoadedEngineParts> ReadEngineSnapshot(const std::string& path) {
     }
   }
 
-  // --- Shard plan (optional section; absent on unsharded builds) ----------
-  std::span<const std::uint32_t> shard_plan;
-  if (reader.HasSection(kSectionShardPlan)) {
-    GRASP_ASSIGN_OR_RETURN(std::span<const std::uint32_t> plan,
-                           reader.Section<std::uint32_t>(kSectionShardPlan));
-    if (plan.size() != data_nodes.size() + 1 || plan[0] == 0) {
-      return Status::InvalidArgument("snapshot: shard plan malformed");
-    }
-    for (std::size_t i = 1; i < plan.size(); ++i) {
-      if (plan[i] >= plan[0]) {
-        return Status::InvalidArgument(
-            "snapshot: shard plan entry out of range");
-      }
-    }
-    shard_plan = plan;
-  }
-
   // --- Materialize --------------------------------------------------------
   // Everything below is linear assembly of already-validated data; no
   // further reads can go out of bounds.
@@ -632,7 +610,6 @@ Result<LoadedEngineParts> ReadEngineSnapshot(const std::string& path) {
           FlatStorage<std::uint64_t>::Borrow(kw_ctx_counts),
           FlatStorage<NumericValueRecord>::Borrow(kw_numeric)));
 
-  parts.shard_plan = shard_plan;  // borrows the mapping, like everything else
   parts.mapping = std::move(reader).TakeMapping();
   parts.load_millis = timer.ElapsedMillis();
   return parts;

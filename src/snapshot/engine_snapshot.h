@@ -25,9 +25,6 @@ struct EngineParts {
   const rdf::DataGraph* data_graph = nullptr;
   const summary::SummaryGraph* summary = nullptr;
   const keyword::KeywordIndex* keyword_index = nullptr;
-  /// Optional shard plan (kSectionShardPlan layout: [num_shards,
-  /// shard_of_vertex...]); empty = unsharded build, no section written.
-  std::span<const std::uint32_t> shard_plan;
 };
 
 /// Serializes the full immutable engine state into one page-aligned,
@@ -53,9 +50,6 @@ struct LoadedEngineParts {
   /// The lexical configuration the index was built with; querying with a
   /// different one would mis-tokenize keywords against the stored postings.
   text::AnalyzerOptions analyzer_options;
-  /// Zero-copy view of the kSectionShardPlan payload (same [num_shards,
-  /// shard_of_vertex...] layout); empty when the image carries no plan.
-  std::span<const std::uint32_t> shard_plan;
   double load_millis = 0.0;
 };
 

@@ -85,11 +85,8 @@ enum SectionId : std::uint32_t {
   /// indexes; bucket = term length). Added in format version 2.
   kSectionIiBucketOffsets = 32,
   kSectionIiBucketTerms = 33,
-  /// shard::ShardPlan: element 0 = shard count, elements 1..NumVertices =
-  /// per-vertex shard ids. Optional — absent on unsharded builds, and
-  /// readers tolerate absence (no version bump; an old reader skips the
-  /// unknown id, an old image simply has no plan).
-  kSectionShardPlan = 34,
+  // 34 is retired and never reused (it held a shard plan). Readers skip
+  // ids they do not read, so images that still carry it open unchanged.
 };
 
 struct FileHeader {

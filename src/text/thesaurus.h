@@ -8,7 +8,8 @@
 
 namespace grasp::text {
 
-/// Semantic relatedness table standing in for WordNet (see DESIGN.md §5).
+/// Semantic relatedness table standing in for WordNet (see PAPER.md,
+/// "Substitutions").
 /// The engine only needs `related(term) -> {term, weight}` where the weight
 /// discounts the matching score sm(n); this class provides exactly that,
 /// pre-populated with a curated table for the bibliographic / university /

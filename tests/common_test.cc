@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/hash.h"
@@ -152,6 +154,27 @@ TEST(StringUtilTest, HumanBytesScales) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");
   EXPECT_EQ(HumanBytes(3 * 1024 * 1024), "3.0 MB");
+}
+
+TEST(StringUtilTest, ParseUintIsStrict) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(ParseUint("0", 10), 0u);
+  EXPECT_EQ(ParseUint("65535", 65535), 65535u);
+  EXPECT_EQ(ParseUint("007", 10), 7u);
+  EXPECT_EQ(ParseUint("18446744073709551615", kMax), kMax);
+  EXPECT_EQ(ParseUint("", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("-1", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("+1", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint(" 1", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("1 ", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("12x", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("0x10", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("1.5", kMax), std::nullopt);
+  EXPECT_EQ(ParseUint("65536", 65535), std::nullopt);
+  EXPECT_EQ(ParseUint("70000", 65535), std::nullopt);
+  EXPECT_EQ(ParseUint("18446744073709551616", kMax), std::nullopt);
+  // A bounded view: bytes past the view's end are not part of the input.
+  EXPECT_EQ(ParseUint(std::string_view("123", 2), kMax), 12u);
 }
 
 // ------------------------------------------------------------------ Rng --

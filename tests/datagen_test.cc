@@ -164,8 +164,9 @@ TEST(WorkloadTest, PerformanceWorkloadOrderedByKeywordCount) {
 
 // ------------------------------------------------- reserved anchor words --
 
-/// DESIGN.md §7: bulk titles must not reuse the distinctive words of the
-/// anchor titles, or the Fig. 4 gold queries drown in same-cost lookalikes.
+/// Bulk titles must not reuse the distinctive words of the anchor titles,
+/// or the Fig. 4 gold queries drown in same-cost lookalikes (PAPER.md,
+/// "Substitutions").
 TEST(DatagenTest, BulkTitlesAvoidAnchorVocabulary) {
   rdf::Dictionary dict;
   rdf::TripleStore store;

@@ -149,6 +149,31 @@ TEST_F(SnapshotRetryTest, RetryBudgetOfOneMeansNoRetry) {
   EXPECT_EQ(failpoint::HitCount("snapshot.open"), 1u);
 }
 
+TEST_F(SnapshotRetryTest, MadviseFailpointDoesNotFailOpen) {
+  // Prefetch advice is an optimization, never a correctness dependency:
+  // Open maps with willneed set, and an armed snapshot.madvise failpoint
+  // must leave the open and its answers intact.
+  failpoint::Arm("snapshot.madvise", failpoint::kAlways);
+  auto opened = KeywordSearchEngine::Open(path_);
+  EXPECT_GT(failpoint::HitCount("snapshot.madvise"), 0u);
+  failpoint::DisarmAll();  // resets hit counters too
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  const KeywordSearchEngine cold(dataset_.store, dataset_.dictionary);
+  const std::vector<std::string> keywords = {"publication", "author"};
+  const auto expected = cold.Search(keywords, 5);
+  const auto actual = (*opened)->Search(keywords, 5);
+  ASSERT_FALSE(expected.queries.empty());
+  ASSERT_EQ(actual.queries.size(), expected.queries.size());
+  for (std::size_t i = 0; i < expected.queries.size(); ++i) {
+    EXPECT_EQ(actual.queries[i].cost, expected.queries[i].cost) << "rank " << i;
+    EXPECT_EQ(actual.queries[i].query.CanonicalString(),
+              expected.queries[i].query.CanonicalString())
+        << "rank " << i;
+  }
+  EXPECT_EQ(actual.degraded, expected.degraded);
+}
+
 TEST_F(FailpointTest, PoolExhaustionDegradesToCountedTransients) {
   grasp::testing::Dataset dataset = grasp::testing::MakeFigure1Dataset();
   KeywordSearchEngine engine(dataset.store, dataset.dictionary);

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,15 +65,25 @@ AugmentedGraph Augment(const Pipeline& p,
   return AugmentedGraph::Build(*p.summary, matches);
 }
 
-/// Asserts `partial` is exactly the leading slice of `full`.
+/// Asserts `partial` is exactly the leading slice of `full`. With the
+/// partial run's `stats`, also checks its completeness certificate: every
+/// entry of the full ranking cheaper than stats->complete_below must be
+/// inside the partial prefix.
 void ExpectExactPrefix(const std::vector<MatchingSubgraph>& partial,
                        const std::vector<MatchingSubgraph>& full,
-                       const std::string& context) {
+                       const std::string& context,
+                       const ExplorationStats* stats = nullptr) {
   ASSERT_LE(partial.size(), full.size()) << context;
   for (std::size_t i = 0; i < partial.size(); ++i) {
     EXPECT_EQ(partial[i].cost, full[i].cost) << context << " rank " << i;
     EXPECT_EQ(partial[i].StructureKey(), full[i].StructureKey())
         << context << " rank " << i;
+  }
+  if (stats == nullptr) return;
+  for (std::size_t i = partial.size(); i < full.size(); ++i) {
+    EXPECT_GE(full[i].cost, stats->complete_below)
+        << context << " rank " << i << " is below the certificate but "
+        << "missing from the prefix";
   }
 }
 
@@ -93,6 +105,10 @@ std::vector<MatchingSubgraph> RunBoth(const AugmentedGraph& augmented,
       << context;
   EXPECT_EQ(flat.stats().budget_exceeded, reference.stats().budget_exceeded)
       << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(flat.stats().complete_below),
+            std::bit_cast<std::uint64_t>(reference.stats().complete_below))
+      << context << " complete_below " << flat.stats().complete_below
+      << " vs " << reference.stats().complete_below;
   EXPECT_EQ(actual.size(), expected.size()) << context;
   for (std::size_t i = 0; i < actual.size() && i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].cost, expected[i].cost) << context << " rank " << i;
@@ -122,7 +138,7 @@ TEST(PartialResultTest, BudgetStopIsExactPrefixOfUnboundedRanking) {
     ExplorationStats stats;
     const std::string context = "budget=" + std::to_string(budget);
     const auto partial = RunBoth(augmented, capped, &stats, context);
-    ExpectExactPrefix(partial, full, context);
+    ExpectExactPrefix(partial, full, context, &stats);
     if (stats.budget_exceeded) {
       EXPECT_TRUE(stats.stopped_early()) << context;
     } else {
@@ -152,7 +168,7 @@ TEST(PartialResultTest, PreExpiredDeadlineStopsAtThePollInterval) {
     ExplorationStats stats;
     const std::string context = "poll_interval=" + std::to_string(interval);
     const auto partial = RunBoth(augmented, timed, &stats, context);
-    ExpectExactPrefix(partial, full, context);
+    ExpectExactPrefix(partial, full, context, &stats);
     if (natural_pops >= interval) {
       // The first poll lands on pop `interval` exactly: a pre-expired
       // control makes the stop pop a pure function of the poll interval.
@@ -182,7 +198,7 @@ TEST(PartialResultTest, PreCancelledControlStopsBothExplorersIdentically) {
     ExplorationStats stats;
     const std::string context = "cancel interval=" + std::to_string(interval);
     const auto partial = RunBoth(augmented, cancelled, &stats, context);
-    ExpectExactPrefix(partial, full, context);
+    ExpectExactPrefix(partial, full, context, &stats);
     EXPECT_TRUE(stats.cancelled || partial.size() == full.size()) << context;
   }
 }
@@ -221,8 +237,9 @@ TEST(PartialResultTest, RandomGraphsPrefixPropertyHoldsAcrossOptionSweep) {
         timed.control_poll_interval = interval;
         const std::string context =
             base[tightened] + " interval=" + std::to_string(interval);
-        const auto partial = RunBoth(augmented, timed, nullptr, context);
-        ExpectExactPrefix(partial, full[tightened], context);
+        ExplorationStats stats;
+        const auto partial = RunBoth(augmented, timed, &stats, context);
+        ExpectExactPrefix(partial, full[tightened], context, &stats);
         prefix_size[tightened] = partial.size();
       }
       EXPECT_GE(prefix_size[1], prefix_size[0])
@@ -235,8 +252,9 @@ TEST(PartialResultTest, RandomGraphsPrefixPropertyHoldsAcrossOptionSweep) {
         capped.max_cursor_pops = budget;
         const std::string context =
             base[tightened] + " budget=" + std::to_string(budget);
-        const auto partial = RunBoth(augmented, capped, nullptr, context);
-        ExpectExactPrefix(partial, full[tightened], context);
+        ExplorationStats stats;
+        const auto partial = RunBoth(augmented, capped, &stats, context);
+        ExpectExactPrefix(partial, full[tightened], context, &stats);
         prefix_size[tightened] = partial.size();
       }
       EXPECT_GE(prefix_size[1], prefix_size[0])

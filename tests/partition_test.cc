@@ -1,23 +1,22 @@
-// Invariant and regression tests for the BLINKS-style graph partitioner,
-// which the sharding layer now depends on (ShardPlan derives per-vertex
-// ownership from PartitionGraph):
+// Invariant and regression tests for the graph partitioner behind the
+// BLINKS baseline's block index (baseline::BlinksIndex partitions the data
+// graph with PartitionGraph and reports CutSize):
 //
 //  - structural invariants on arbitrary graphs: at most the requested
 //    number of blocks, every block non-empty, every assignment in range,
 //    every vertex assigned — including disconnected graphs and the
 //    num_blocks > n edge case (both bit the original BfsSeed, whose
 //    frontier flush could strand vertices in block 0);
-//  - determinism: identical inputs yield identical partitions (they are
-//    persisted in snapshots and diffed across processes in CI, so any
-//    hash-order dependence is a bug, not noise);
+//  - determinism: identical inputs yield identical partitions (the Fig. 5
+//    BLINKS rows must be reproducible run to run, so any hash-order
+//    dependence is a bug, not noise);
 //  - refinement quality: kGreedy only ever moves a vertex toward a block
 //    it has strictly more links to, so its cut is never worse than the
 //    kBfs seed it refines;
-//  - CutSize kind-awareness: the all-kinds overload counts attribute/type
-//    edges to literal and class vertices that a sharded deployment
-//    replicates everywhere, over-reporting the cut actually paid at query
-//    time; the kind-masked overload restricted to relation edges is the
-//    honest number.
+//  - CutSize kind-awareness: the all-kinds overload also counts
+//    attribute/type edges to literal and class vertices; the kind-masked
+//    overload restricted to relation edges counts only entity-entity
+//    links.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +35,7 @@ using grasp::testing::Dataset;
 using grasp::testing::MakeDataset;
 using grasp::testing::MakeRandomDataset;
 
-/// Asserts every structural invariant the sharding layer assumes.
+/// Asserts every structural invariant the block index assumes.
 void CheckInvariants(const Partition& p, const rdf::DataGraph& graph,
                      std::size_t requested) {
   ASSERT_EQ(p.block_of.size(), graph.NumVertices());
@@ -157,8 +156,7 @@ TEST(PartitionTest, GreedyCutNeverWorseThanBfs) {
 TEST(PartitionTest, KindAwareCutSizeExcludesNonRelationEdges) {
   // One relation edge, several attribute/type edges. With every vertex in
   // its own block all edges cross, so the all-kinds count equals the edge
-  // count — over-reporting the shard-relevant cut, which is exactly the
-  // relation-edge count.
+  // count, while the relation-only cut is exactly the relation-edge count.
   const Dataset d = MakeDataset({
       "e1 a T",
       "e2 a T",

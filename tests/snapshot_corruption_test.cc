@@ -239,6 +239,40 @@ TEST_F(SnapshotCorruptionTest, DuplicateSectionId) {
                  "duplicate id");
 }
 
+TEST_F(SnapshotCorruptionTest, RetiredSectionIdStillOpens) {
+  // Images written while section 34 carried a shard plan must still open
+  // and answer unchanged: the id is retired, and readers skip ids they do
+  // not read. Append a well-formed table entry with id 34 (a clone of entry
+  // 0's offset, length and checksum) in the padding after the table.
+  constexpr std::uint32_t kRetiredShardPlan = 34;
+  std::vector<char> mutated = bytes_;
+  FileHeader header;
+  std::memcpy(&header, mutated.data(), sizeof(header));
+  char* table = mutated.data() + sizeof(FileHeader);
+  SectionEntry entry;
+  std::memcpy(&entry, table, sizeof(entry));
+  const std::size_t new_table_end =
+      sizeof(FileHeader) + (header.section_count + 1) * sizeof(SectionEntry);
+  for (std::uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry existing;
+    std::memcpy(&existing, table + i * sizeof(SectionEntry), sizeof(existing));
+    ASSERT_NE(existing.id, kRetiredShardPlan);
+    ASSERT_LE(new_table_end, existing.offset) << "no padding for one entry";
+  }
+  entry.id = kRetiredShardPlan;
+  std::memcpy(table + header.section_count * sizeof(SectionEntry), &entry,
+              sizeof(entry));
+  ++header.section_count;
+  header.table_checksum = snapshot::Checksum64(
+      table, header.section_count * sizeof(SectionEntry));
+  std::memcpy(mutated.data(), &header, sizeof(header));
+
+  WriteFileBytes(path_, mutated);
+  auto opened = KeywordSearchEngine::Open(path_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(Canonical(**opened), baseline_);
+}
+
 TEST_F(SnapshotCorruptionTest, NotASnapshotAtAll) {
   std::vector<char> junk(8192, '\x42');
   ExpectRejected(junk, "junk file");

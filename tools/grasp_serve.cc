@@ -13,35 +13,39 @@
 
 #include <signal.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "bench_util.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "net/http_server.h"
 #include "net/socket.h"
 #include "rdf/ntriples.h"
 #include "serve/admission.h"
-#include "shard/sharded_engine.h"
 
 namespace {
 
 using grasp::core::KeywordSearchEngine;
 using grasp::net::HttpServer;
 using grasp::serve::QueryServer;
-using grasp::shard::ShardedEngine;
+
+/// Ceiling on each lane's worker count: every worker is an OS thread.
+constexpr std::uint64_t kMaxWorkersPerLane = 256;
+constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
 
 struct Args {
   std::string dataset = "dblp";
   std::string nt_path;
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::size_t shards = 0;  ///< 0/1 = single engine; N > 1 = scatter-gather
   std::size_t fast_workers = 2;
   std::size_t deep_workers = 2;
   std::size_t queue_capacity = 32;
@@ -52,6 +56,22 @@ struct Args {
   double drain_timeout_ms = 30'000.0;
   double default_deadline_ms = 0.0;
 };
+
+/// Parses an integer flag value strictly (see grasp::ParseUint): a sign,
+/// trailing bytes or a value above `max` is a usage error, never a wrapped
+/// or huge number.
+template <typename T>
+bool ParseUintFlag(const std::string& arg, const char* value,
+                   std::uint64_t max, T* out) {
+  const std::optional<std::uint64_t> parsed = grasp::ParseUint(value, max);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "bad value (want an integer in 0..%llu): %s\n",
+                 static_cast<unsigned long long>(max), arg.c_str());
+    return false;
+  }
+  *out = static_cast<T>(*parsed);
+  return true;
+}
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
@@ -67,17 +87,23 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (const char* v = value("--host=")) {
       args->host = v;
     } else if (const char* v = value("--port=")) {
-      args->port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (const char* v = value("--shards=")) {
-      args->shards = static_cast<std::size_t>(std::atol(v));
+      if (!ParseUintFlag(arg, v, 65535, &args->port)) return false;
     } else if (const char* v = value("--fast-workers=")) {
-      args->fast_workers = static_cast<std::size_t>(std::atol(v));
+      if (!ParseUintFlag(arg, v, kMaxWorkersPerLane, &args->fast_workers)) {
+        return false;
+      }
     } else if (const char* v = value("--deep-workers=")) {
-      args->deep_workers = static_cast<std::size_t>(std::atol(v));
+      if (!ParseUintFlag(arg, v, kMaxWorkersPerLane, &args->deep_workers)) {
+        return false;
+      }
     } else if (const char* v = value("--queue-capacity=")) {
-      args->queue_capacity = static_cast<std::size_t>(std::atol(v));
+      if (!ParseUintFlag(arg, v, kMaxSize, &args->queue_capacity)) {
+        return false;
+      }
     } else if (const char* v = value("--max-connections=")) {
-      args->max_connections = static_cast<std::size_t>(std::atol(v));
+      if (!ParseUintFlag(arg, v, kMaxSize, &args->max_connections)) {
+        return false;
+      }
     } else if (const char* v = value("--read-timeout-ms=")) {
       args->read_timeout_ms = std::atof(v);
     } else if (const char* v = value("--write-timeout-ms=")) {
@@ -160,7 +186,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: grasp_serve [--dataset=dblp|lubm|tap | --nt=FILE]\n"
-        "    [--host=H] [--port=N] [--shards=N]\n"
+        "    [--host=H] [--port=N]\n"
         "    [--fast-workers=N] [--deep-workers=N]\n"
         "    [--queue-capacity=N] [--max-connections=N]\n"
         "    [--read-timeout-ms=MS] [--write-timeout-ms=MS]\n"
@@ -192,35 +218,17 @@ int main(int argc, char** argv) {
   // histograms, and the HTTP front-end's wire counters side by side.
   grasp::metrics::Registry registry;
 
-  // Single engine or sharded scatter-gather backend, both behind the same
-  // core::SearchBackend interface — the serving layers don't know which.
-  std::unique_ptr<KeywordSearchEngine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (args.shards > 1) {
-    ShardedEngine::Options shard_options;
-    shard_options.num_shards = args.shards;
-    shard_options.metrics = &registry;
-    sharded = std::make_unique<ShardedEngine>(dataset.store,
-                                              dataset.dictionary,
-                                              shard_options);
-    std::fprintf(stderr, "sharded backend: %zu shards\n",
-                 sharded->num_shards());
-  } else {
-    KeywordSearchEngine::Options engine_options;
-    engine_options.metrics = &registry;
-    engine = std::make_unique<KeywordSearchEngine>(dataset.store,
-                                                   dataset.dictionary,
-                                                   engine_options);
-  }
+  KeywordSearchEngine::Options engine_options;
+  engine_options.metrics = &registry;
+  const KeywordSearchEngine engine(dataset.store, dataset.dictionary,
+                                   engine_options);
 
   QueryServer::Options serve_options;
   serve_options.fast_workers = args.fast_workers;
   serve_options.deep_workers = args.deep_workers;
   serve_options.queue_capacity = args.queue_capacity;
   serve_options.metrics = &registry;
-  std::unique_ptr<QueryServer> query_server =
-      sharded ? std::make_unique<QueryServer>(*sharded, serve_options)
-              : std::make_unique<QueryServer>(*engine, serve_options);
+  QueryServer query_server(engine, serve_options);
 
   HttpServer::Options http_options;
   http_options.metrics = &registry;
@@ -232,7 +240,7 @@ int main(int argc, char** argv) {
   http_options.idle_timeout_millis = args.idle_timeout_ms;
   http_options.drain_timeout_millis = args.drain_timeout_ms;
   http_options.default_deadline_millis = args.default_deadline_ms;
-  HttpServer server(query_server.get(), http_options);
+  HttpServer server(&query_server, http_options);
 
   const grasp::Status status = server.Start();
   if (!status.ok()) {
@@ -257,6 +265,6 @@ int main(int argc, char** argv) {
   }).detach();
 
   server.Join();  // returns when the drain (or stop) completes
-  PrintStats(server, *query_server);
+  PrintStats(server, query_server);
   return 0;
 }

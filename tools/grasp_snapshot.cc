@@ -17,23 +17,24 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <span>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/engine.h"
 #include "rdf/ntriples.h"
 #include "serve/admission.h"
 #include "serve/query_control.h"
-#include "shard/shard_plan.h"
-#include "shard/sharded_engine.h"
 
 namespace {
 
 using grasp::core::KeywordSearchEngine;
-using grasp::shard::ShardedEngine;
+
+/// Ceiling on --k, the same one the HTTP front end clamps ?k= to.
+constexpr std::uint64_t kMaxK = 1000;
 
 struct Args {
   std::string command;
@@ -44,9 +45,6 @@ struct Args {
   bool cold = false;
   std::size_t k = 5;
   double deadline_ms = 0.0;  // <= 0: no deadline
-  /// build: 0 writes no plan; N >= 1 partitions and embeds a plan.
-  /// query: 0 serves unsharded; N >= 1 opens/builds a sharded engine.
-  std::size_t shards = 0;
   std::vector<std::string> keywords;
 };
 
@@ -68,11 +66,16 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (const char* v = value("--out=")) {
       args->out_path = v;
     } else if (const char* v = value("--k=")) {
-      args->k = static_cast<std::size_t>(std::atol(v));
+      // Strict: a sign, trailing bytes or k > kMaxK is a usage error.
+      const std::optional<std::uint64_t> k = grasp::ParseUint(v, kMaxK);
+      if (!k.has_value()) {
+        std::fprintf(stderr, "bad value (want an integer in 0..%llu): %s\n",
+                     static_cast<unsigned long long>(kMaxK), arg.c_str());
+        return false;
+      }
+      args->k = static_cast<std::size_t>(*k);
     } else if (const char* v = value("--deadline-ms=")) {
       args->deadline_ms = std::atof(v);
-    } else if (const char* v = value("--shards=")) {
-      args->shards = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--cold") {
       args->cold = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -90,18 +93,16 @@ int Usage() {
       stderr,
       "usage:\n"
       "  grasp_snapshot build (--dataset=dblp|lubm|tap | --nt=FILE) "
-      "--out=PATH [--shards=N]\n"
+      "--out=PATH\n"
       "  grasp_snapshot query --snapshot=PATH [--k=N] [--deadline-ms=MS] "
-      "[--shards=N] KEYWORD...\n"
+      "KEYWORD...\n"
       "  grasp_snapshot query (--dataset=... | --nt=FILE) --cold [--k=N] "
-      "[--shards=N] KEYWORD...\n"
+      "KEYWORD...\n"
       "  grasp_snapshot info --snapshot=PATH\n"
-      "\n--deadline-ms bounds the query: results may be a degraded (but "
-      "verified)\nprefix of the full ranking; the stop reason goes to "
-      "stderr.\n--shards=N builds a partition plan into the snapshot / "
-      "serves the query\nthrough the sharded scatter-gather engine "
-      "(results are identical to\nunsharded).\nGRASP_BENCH_SCALE scales "
-      "the generated datasets (default 1.0).\n");
+      "\n--k is at most 1000. --deadline-ms bounds the query: results may "
+      "be a\ndegraded (but verified) prefix of the full ranking; the stop "
+      "reason goes to\nstderr.\nGRASP_BENCH_SCALE scales the generated "
+      "datasets (default 1.0).\n");
   return 2;
 }
 
@@ -148,14 +149,8 @@ int RunBuild(const Args& args) {
   if (!LoadDataset(args, &dataset)) return 1;
   grasp::WallTimer timer;
   KeywordSearchEngine engine(dataset.store, dataset.dictionary);
-  std::vector<std::uint32_t> plan_payload;
-  if (args.shards >= 1) {
-    const grasp::shard::ShardPlan plan = grasp::shard::ShardPlan::Build(
-        engine.data_graph(), engine.summary_graph(), args.shards);
-    plan_payload = plan.Serialize();
-  }
   const double build_millis = timer.ElapsedMillis();
-  const grasp::Status status = engine.SaveIndex(args.out_path, plan_payload);
+  const grasp::Status status = engine.SaveIndex(args.out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "save failed: %s\n", status.ToString().c_str());
     return 1;
@@ -163,78 +158,42 @@ int RunBuild(const Args& args) {
   const auto stats = engine.index_stats();
   std::fprintf(stderr,
                "built %s (%zu triples, %zu summary nodes) in %.1f ms; "
-               "snapshot -> %s%s\n",
+               "snapshot -> %s\n",
                dataset.name.c_str(), dataset.store.size(),
-               stats.summary_nodes, build_millis, args.out_path.c_str(),
-               plan_payload.empty() ? "" : " (with shard plan)");
+               stats.summary_nodes, build_millis, args.out_path.c_str());
   return 0;
 }
 
 int RunQuery(const Args& args) {
   if (args.keywords.empty()) return Usage();
-  // Declared before the engines: a cold-built engine keeps raw pointers
+  // Declared before the engine: a cold-built engine keeps raw pointers
   // into the dataset, which therefore must be destroyed after it.
   std::unique_ptr<grasp::bench::Dataset> dataset;
-  std::unique_ptr<KeywordSearchEngine> warm;
-  std::unique_ptr<ShardedEngine> sharded;
-  std::unique_ptr<grasp::core::EngineBackend> single;
-  const grasp::core::SearchBackend* backend = nullptr;
+  std::unique_ptr<KeywordSearchEngine> engine;
   grasp::WallTimer timer;
   if (!args.snapshot_path.empty()) {
-    if (args.shards >= 1) {
-      ShardedEngine::Options options;
-      options.num_shards = args.shards;
-      auto opened = ShardedEngine::Open(args.snapshot_path, options);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "open failed: %s\n",
-                     opened.status().ToString().c_str());
-        return 1;
-      }
-      sharded = std::move(opened).value();
-      backend = sharded.get();
-      std::fprintf(stderr, "warm open: %.1f ms (%zu shards, %zu mapped bytes "
-                   "each)\n",
-                   timer.ElapsedMillis(), sharded->num_shards(),
-                   sharded->shard(0).index_stats().mapped_snapshot_bytes);
-    } else {
-      auto opened = KeywordSearchEngine::Open(args.snapshot_path);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "open failed: %s\n",
-                     opened.status().ToString().c_str());
-        return 1;
-      }
-      warm = std::move(opened).value();
-      single = std::make_unique<grasp::core::EngineBackend>(*warm);
-      backend = single.get();
-      std::fprintf(stderr, "warm open: %.1f ms (%zu mapped bytes)\n",
-                   timer.ElapsedMillis(),
-                   warm->index_stats().mapped_snapshot_bytes);
+    auto opened = KeywordSearchEngine::Open(args.snapshot_path);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "open failed: %s\n",
+                   opened.status().ToString().c_str());
+      return 1;
     }
+    engine = std::move(opened).value();
+    std::fprintf(stderr, "warm open: %.1f ms (%zu mapped bytes)\n",
+                 timer.ElapsedMillis(),
+                 engine->index_stats().mapped_snapshot_bytes);
   } else if (args.cold) {
     dataset = std::make_unique<grasp::bench::Dataset>();
     if (!LoadDataset(args, dataset.get())) return 1;
     timer.Reset();  // time the engine build, not dataset generation/parsing
-    if (args.shards >= 1) {
-      ShardedEngine::Options options;
-      options.num_shards = args.shards;
-      sharded = std::make_unique<ShardedEngine>(dataset->store,
-                                                dataset->dictionary, options);
-      backend = sharded.get();
-      std::fprintf(stderr, "cold build: %.1f ms (%zu shards)\n",
-                   timer.ElapsedMillis(), sharded->num_shards());
-    } else {
-      warm = std::make_unique<KeywordSearchEngine>(dataset->store,
+    engine = std::make_unique<KeywordSearchEngine>(dataset->store,
                                                    dataset->dictionary);
-      single = std::make_unique<grasp::core::EngineBackend>(*warm);
-      backend = single.get();
-      std::fprintf(stderr, "cold build: %.1f ms\n", timer.ElapsedMillis());
-    }
+    std::fprintf(stderr, "cold build: %.1f ms\n", timer.ElapsedMillis());
   } else {
     return Usage();
   }
   if (args.deadline_ms <= 0.0) {
-    PrintResult(backend->Search(args.keywords, args.k,
-                                backend->default_exploration(), {}));
+    PrintResult(engine->Search(args.keywords, args.k));
     return 0;
   }
 
@@ -246,14 +205,14 @@ int RunQuery(const Args& args) {
   grasp::serve::QueryControl control;
   control.SetDeadlineAfterMillis(args.deadline_ms);
   grasp::serve::DeadlineCalibrator calibrator(0.2, 50.0);
-  grasp::core::ExplorationOptions exploration = backend->default_exploration();
+  grasp::core::ExplorationOptions exploration = engine->options().exploration;
   exploration.control = &control;
   const std::size_t budget = calibrator.BudgetForDeadline(args.deadline_ms, 0.5);
   if (exploration.max_cursor_pops == 0 || budget < exploration.max_cursor_pops) {
     exploration.max_cursor_pops = budget;
   }
   const KeywordSearchEngine::SearchResult result =
-      backend->Search(args.keywords, args.k, exploration, {});
+      engine->Search(args.keywords, args.k, exploration);
   if (!result.status.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status.ToString().c_str());
@@ -287,10 +246,6 @@ int RunInfo(const Args& args) {
   std::printf("snapshot          %s\n", args.snapshot_path.c_str());
   std::printf("open time         %.1f ms\n", open_millis);
   std::printf("mapped bytes      %zu\n", stats.mapped_snapshot_bytes);
-  const std::span<const std::uint32_t> plan = engine.loaded_shard_plan();
-  if (!plan.empty()) {
-    std::printf("shard plan        %u shards\n", plan[0]);
-  }
   std::printf("terms             %zu\n", engine.dictionary().size());
   std::printf("data vertices     %zu\n", engine.data_graph().NumVertices());
   std::printf("data edges        %zu\n", engine.data_graph().NumEdges());
