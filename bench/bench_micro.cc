@@ -13,30 +13,25 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "graph/edge_filter.h"
-
-#include "common/aligned.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/exploration.h"
 #include "core/exploration_reference.h"
 #include "datagen/dblp_gen.h"
 #include "datagen/tap_gen.h"
+#include "graph/edge_filter.h"
 #include "keyword/keyword_index.h"
 #include "rdf/data_graph.h"
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
-#include "simd/cpu.h"
-#include "simd/kernels.h"
 #include "summary/augmentation_cache.h"
 #include "summary/augmented_graph.h"
 #include "summary/summary_graph.h"
 #include "text/inverted_index.h"
 #include "text/levenshtein.h"
 #include "text/porter_stemmer.h"
-#include "common/string_util.h"
 
 namespace {
 
@@ -117,128 +112,6 @@ void BM_BoundedLevenshtein(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedLevenshtein);
 
-// ------------------------------------------------------ SIMD kernel tiers --
-// The dispatched hot-path kernels, benchmarked per ISA tier (Arg 0=scalar,
-// 1=sse42, 2=avx2) through the same function-pointer table the engine
-// dispatches through. Tiers the host CPU (or a non-x86 build) cannot run
-// are skipped. The acceptance bar is >=1.5x over scalar on at least one
-// kernel on an AVX2 host; the scalar rows double as the regression
-// baseline for the trend tracker.
-
-const grasp::simd::KernelTable* KernelTableForArg(benchmark::State& state) {
-  const auto level = static_cast<grasp::simd::Level>(state.range(0));
-  const grasp::simd::KernelTable* table = grasp::simd::TableFor(level);
-  if (table == nullptr) {
-    state.SkipWithError("SIMD tier unavailable on this CPU/build");
-  }
-  return table;
-}
-
-void BM_KernelMaskCompose(benchmark::State& state) {
-  const grasp::simd::KernelTable* table = KernelTableForArg(state);
-  if (table == nullptr) return;
-  constexpr std::size_t kWords = 4096;  // a 256Ki-edge scope mask
-  grasp::AlignedVector<std::uint64_t> a(kWords), b(kWords), out(kWords);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < kWords; ++i) {
-    a[i] = x = x * 6364136223846793005ull + 1442695040888963407ull;
-    b[i] = x = x * 6364136223846793005ull + 1442695040888963407ull;
-  }
-  for (auto _ : state) {
-    table->mask_and(a.data(), b.data(), out.data(), kWords);
-    table->mask_or(a.data(), out.data(), out.data(), kWords);
-    table->mask_andnot(out.data(), b.data(), out.data(), kWords);
-    benchmark::DoNotOptimize(table->popcount_words(out.data(), kWords));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(4 * kWords * 8));
-  state.SetLabel(table->name);
-}
-BENCHMARK(BM_KernelMaskCompose)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_KernelPostingsIntersect(benchmark::State& state) {
-  const grasp::simd::KernelTable* table = KernelTableForArg(state);
-  if (table == nullptr) return;
-  // Three overlapping candidate runs folded into one dense best[] array —
-  // the shape of a fuzzy keyword with several close variants.
-  constexpr std::size_t kNumDocs = 1 << 15;
-  constexpr std::size_t kRun = 8192;
-  grasp::AlignedVector<std::uint32_t> pairs;
-  pairs.reserve(3 * 2 * kRun);
-  for (std::uint32_t run = 0; run < 3; ++run) {
-    for (std::uint32_t i = 0; i < kRun; ++i) {
-      pairs.push_back((run * 1031 + i * 3) % kNumDocs);  // doc
-      pairs.push_back(1 + (i & 7));                      // tf
-    }
-  }
-  grasp::AlignedVector<double> best(kNumDocs, -1.0);
-  grasp::AlignedVector<std::uint32_t> touched(3 * kRun);
-  for (auto _ : state) {
-    std::size_t appended = 0;
-    for (std::uint32_t run = 0; run < 3; ++run) {
-      appended += table->postings_best_update(
-          pairs.data() + run * 2 * kRun, kRun, 0.25 + 0.5 * run,
-          best.data(), touched.data() + appended);
-    }
-    // The engine's epilogue: restore the -1.0 resting state, O(touched).
-    for (std::size_t i = 0; i < appended; ++i) best[touched[i]] = -1.0;
-    benchmark::DoNotOptimize(appended);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(3 * kRun));
-  state.SetLabel(table->name);
-}
-BENCHMARK(BM_KernelPostingsIntersect)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_KernelFuzzyScan(benchmark::State& state) {
-  const grasp::simd::KernelTable* table = KernelTableForArg(state);
-  if (table == nullptr) return;
-  // A vocabulary slice the size of a large length-bucket range.
-  constexpr std::size_t kTerms = 4096;
-  grasp::AlignedVector<unsigned char> first(kTerms), last(kTerms);
-  grasp::AlignedVector<std::uint32_t> sigs(kTerms), out(kTerms);
-  std::uint64_t x = 0x2545f4914f6cdd1dull;
-  for (std::size_t i = 0; i < kTerms; ++i) {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-    first[i] = static_cast<unsigned char>('a' + x % 26);
-    last[i] = static_cast<unsigned char>('a' + (x >> 8) % 26);
-    std::uint32_t sig = 0;
-    for (unsigned c = 0; c < 5; ++c) sig |= 1u << ((x >> (16 + 5 * c)) % 26);
-    sigs[i] = sig;
-  }
-  const std::uint32_t query_sig =
-      (1u << ('c' - 'a')) | (1u << ('i' - 'a')) | (1u << ('m' - 'a')) |
-      (1u << ('a' - 'a')) | (1u << ('n' - 'a')) | (1u << ('o' - 'a'));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table->fuzzy_prefilter(first.data(), last.data(), sigs.data(), kTerms,
-                               'c', 'o', query_sig, /*max_dist=*/2,
-                               out.data()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kTerms));
-  state.SetLabel(table->name);
-}
-BENCHMARK(BM_KernelFuzzyScan)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_KernelStructHash(benchmark::State& state) {
-  const grasp::simd::KernelTable* table = KernelTableForArg(state);
-  if (table == nullptr) return;
-  // A generated-subgraph signature at dedup time: tens of nodes/edges.
-  constexpr std::size_t kNodes = 48, kEdges = 96;
-  grasp::AlignedVector<std::uint32_t> nodes(kNodes), edges(kEdges);
-  for (std::size_t i = 0; i < kNodes; ++i) nodes[i] = 7919u * (i + 1);
-  for (std::size_t i = 0; i < kEdges; ++i) edges[i] = 104729u * (i + 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table->struct_hash(nodes.data(), kNodes, edges.data(), kEdges));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kNodes + kEdges));
-  state.SetLabel(table->name);
-}
-BENCHMARK(BM_KernelStructHash)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
-
 void BM_KeywordLookup(benchmark::State& state) {
   DblpFixture& f = Fixture();
   grasp::text::InvertedIndex::SearchOptions options;
@@ -274,9 +147,7 @@ BENCHMARK(BM_Augmentation);
 // ------------------------------------------------- augmentation cost sweep --
 // Per-query augmentation cost as a function of summary size x matches per
 // keyword. The copy-free overlay build must scale with the keyword matches
-// only (rows with the same match budget stay flat across summary scales),
-// while the materialized reference build pays the O(|summary|) copy tax —
-// the difference is the win `augmentation_millis` sees in Fig. 5 / Fig. 6a.
+// only: rows with the same match budget stay flat across summary scales.
 //
 // The dataset is TAP-like (many classes, few instances each): its summary
 // grows with the class count, so the `classes` axis really scales the base
@@ -336,13 +207,12 @@ std::vector<std::vector<grasp::keyword::KeywordMatch>> SweepMatches(
   return matches;
 }
 
-template <typename BuildFn>
-void RunAugmentationSweep(benchmark::State& state, BuildFn&& build) {
+void BM_AugmentationSweepOverlay(benchmark::State& state) {
   TapFixture& f = ScaledTapFixture(static_cast<int>(state.range(0)));
   const auto matches = SweepMatches(f, static_cast<int>(state.range(1)));
   std::size_t overlay_nodes = 0, overlay_edges = 0, overlay_bytes = 0;
   for (auto _ : state) {
-    auto g = build(*f.summary, matches);
+    auto g = grasp::summary::AugmentedGraph::Build(*f.summary, matches);
     overlay_nodes = g.NumNodes() - g.base_nodes();
     overlay_edges = g.NumEdges() - g.base_edges();
     overlay_bytes = g.OverlayMemoryUsageBytes();
@@ -356,32 +226,15 @@ void RunAugmentationSweep(benchmark::State& state, BuildFn&& build) {
   state.counters["overlay_edges"] = static_cast<double>(overlay_edges);
   state.counters["overlay_bytes"] = static_cast<double>(overlay_bytes);
 }
-
-void BM_AugmentationSweepOverlay(benchmark::State& state) {
-  RunAugmentationSweep(state, [](const auto& summary, const auto& matches) {
-    return grasp::summary::AugmentedGraph::Build(summary, matches);
-  });
-}
 BENCHMARK(BM_AugmentationSweepOverlay)
-    ->ArgNames({"classes", "matches"})
-    ->ArgsProduct({{64, 256, 1024}, {4, 16, 64}});
-
-void BM_AugmentationSweepMaterialized(benchmark::State& state) {
-  RunAugmentationSweep(state, [](const auto& summary, const auto& matches) {
-    return grasp::summary::AugmentedGraph::BuildMaterialized(summary, matches);
-  });
-}
-BENCHMARK(BM_AugmentationSweepMaterialized)
     ->ArgNames({"classes", "matches"})
     ->ArgsProduct({{64, 256, 1024}, {4, 16, 64}});
 
 // ---------------------------------------------------- overlay incidence pop --
 // Per-pop incidence probe cost on an augmented overlay: the exploration
 // calls IncidentEdges once per cursor pop, so the probe is pure overhead on
-// the paper's hottest loop. The dense variant is the shipped epoch-stamped
-// extension array (one index + epoch compare); the hash variant emulates
-// the PR-2 `unordered_map<node, extension>` probe over the same data. The
-// gap between the two is the win of the hash removal.
+// the paper's hottest loop: one index + epoch compare into the dense
+// extension array.
 
 void BM_OverlayIncidentPopDense(benchmark::State& state) {
   TapFixture& f = ScaledTapFixture(static_cast<int>(state.range(0)));
@@ -401,39 +254,6 @@ void BM_OverlayIncidentPopDense(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_OverlayIncidentPopDense)
-    ->ArgNames({"classes"})
-    ->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_OverlayIncidentPopHashReference(benchmark::State& state) {
-  TapFixture& f = ScaledTapFixture(static_cast<int>(state.range(0)));
-  const auto matches = SweepMatches(f, 16);
-  const grasp::summary::AugmentedGraph g =
-      grasp::summary::AugmentedGraph::Build(*f.summary, matches);
-  // Rebuild the same incidence extensions into the PR-2 sparse-hash shape.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> extra;
-  for (std::uint32_t e = g.base_edges(); e < g.NumEdges(); ++e) {
-    const auto& edge = g.edge(e);
-    if (edge.from < g.base_nodes()) extra[edge.from].push_back(e);
-    if (edge.to != edge.from && edge.to < g.base_nodes()) {
-      extra[edge.to].push_back(e);
-    }
-  }
-  const auto& csr = f.summary->csr();
-  const std::uint32_t n = g.base_nodes();
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (std::uint32_t node = 0; node < n; ++node) {
-      for (std::uint32_t e : csr.IncidentEdges(node)) sum += e;
-      const auto it = extra.find(node);
-      if (it != extra.end()) {
-        for (std::uint32_t e : it->second) sum += e;
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_OverlayIncidentPopHashReference)
     ->ArgNames({"classes"})
     ->Arg(64)->Arg(256)->Arg(1024);
 
@@ -652,8 +472,8 @@ BENCHMARK(BM_EngineStartWarmFirstQuery)->Unit(benchmark::kMillisecond);
 // way the engine does across queries; `scratch_grow_events` staying at 1
 // demonstrates the allocation-free steady state. Each configuration first
 // cross-checks that both explorers return byte-identical top-k costs and
-// structure keys. CI captures this sweep as BENCH_exploration.json
-// (--benchmark_out) for cross-PR trend tracking.
+// structure keys. CI uploads this sweep as BENCH_exploration.json
+// (--benchmark_out).
 
 std::vector<std::vector<grasp::keyword::KeywordMatch>> ExplorationSweepMatches(
     TapFixture& f, int m) {
@@ -758,7 +578,7 @@ BENCHMARK(BM_ExplorationSweepReference)
 // mask itself (base summary sweep + per-query overlay compose). The scoped
 // row should pop fewer cursors and run no slower per pop than full; the
 // mask-build row prices what a scope-cache miss costs. CI exports all
-// three to BENCH_exploration.json for trend tracking.
+// three to BENCH_exploration.json.
 
 std::vector<grasp::rdf::TermId> FilteredSweepScopeTerms(TapFixture& f) {
   // Every other distinct relation/attribute label, deterministic in the

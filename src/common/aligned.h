@@ -7,10 +7,8 @@
 
 namespace grasp {
 
-/// Cache-line / vector-register alignment for every owned flat array. One
-/// constant shared by the allocator and the SIMD kernels: 64 bytes covers a
-/// full AVX-512 register and exactly one cache line, so kernels never split
-/// a load across lines at the start of a buffer.
+/// Cache-line alignment for every owned flat array: 64 bytes is exactly one
+/// cache line, so a sweep never splits a line at the start of a buffer.
 inline constexpr std::size_t kFlatAlignment = 64;
 
 /// Minimal aligned allocator (C++17 aligned operator new). All instances
@@ -48,10 +46,9 @@ class AlignedAllocator {
 
 /// A std::vector whose heap buffer starts on a kFlatAlignment boundary.
 /// This is the owned-storage type behind FlatStorage and the pooled scratch
-/// arrays the SIMD kernels sweep; mapped snapshot sections are page-aligned
-/// already, so with this every kernel input is at least 64-byte aligned at
-/// the buffer start (interior subspans can still start anywhere — kernels
-/// use unaligned loads and win from the alignment via full-line prefetch).
+/// arrays of the hot loops; mapped snapshot sections are page-aligned
+/// already, so every flat array starts at least 64-byte aligned (interior
+/// subspans can still start anywhere).
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 

@@ -19,8 +19,7 @@ namespace grasp {
 ///
 /// This is the storage abstraction that lets every CSR array in the system
 /// point straight into a snapshot file instead of copying it at load time.
-/// Owned buffers start on a kFlatAlignment (64-byte) boundary, which the
-/// SIMD kernels rely on for full-cache-line sweeps.
+/// Owned buffers start on a kFlatAlignment (64-byte) cache-line boundary.
 template <typename T>
 class FlatStorage {
   static_assert(std::is_trivially_copyable_v<T>,

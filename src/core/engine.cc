@@ -17,7 +17,6 @@
 
 #include "common/filter_op.h"
 #include "common/timer.h"
-#include "simd/kernels.h"
 #include "rdf/term.h"
 #include "snapshot/engine_snapshot.h"
 #include "summary/augmented_graph.h"
@@ -59,10 +58,6 @@ KeywordSearchEngine::KeywordSearchEngine(const rdf::TripleStore& store,
               ? std::make_unique<summary::AugmentationCache>(
                     options.augmentation_cache_bytes, kPoolCapacity / 2)
               : nullptr) {
-  // Resolve the kernel dispatch eagerly: the tier choice (and any
-  // GRASP_SIMD clamp warning) surfaces at construction, not mid-query.
-  index_stats_.simd_kernel_level =
-      simd::LevelName(simd::ActiveLevel());
   index_stats_.keyword_index_bytes = keyword_index_.MemoryUsageBytes();
   index_stats_.summary_graph_bytes = summary_.MemoryUsageBytes();
   index_stats_.summary_nodes = summary_.NumNodes();

@@ -173,10 +173,10 @@ class KeywordSearchEngine {
     /// memory. In warm mode the flat arrays live here and the owned
     /// counters shrink to the rebuilt hash maps and string tables.
     std::size_t mapped_snapshot_bytes = 0;
-    /// Name of the SIMD kernel tier the engine dispatches its hot loops to
-    /// ("scalar", "sse42", "avx2"), resolved at construction from the CPU
-    /// and the GRASP_SIMD override.
-    const char* simd_kernel_level = "";
+    /// Always "scalar": the engine has one set of plain C++ hot loops. The
+    /// field stays because the end-to-end benchmark writes it into its run
+    /// fingerprint (`simd=`); it goes when that fingerprint drops it.
+    const char* simd_kernel_level = "scalar";
     /// Acquire() calls the per-query pools served by a transient heap
     /// allocation because every pooled slot was live and checked out.
     /// Monotonic since construction; a steadily climbing figure means

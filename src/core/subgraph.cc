@@ -3,23 +3,44 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "common/hash.h"
 #include "common/string_util.h"
-#include "simd/kernels.h"
 
 namespace grasp::core {
+namespace {
+
+// Four independent splitmix lanes: lane j mixes elements j, j+4, ... of its
+// stream, the phase restarting at the edge stream. The per-stream salts
+// keep node and edge ids from colliding across streams, and the final fold
+// binds both counts.
+constexpr std::uint64_t kLaneSeed[4] = {
+    0x6b7a5c3d2e1f0908ULL, 0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL,
+    0x94d049bb133111ebULL};
+constexpr std::uint64_t kNodeSalt = 0x100000000ULL;
+constexpr std::uint64_t kEdgeSalt = 0x200000000ULL;
+
+}  // namespace
 
 std::uint64_t StructureHashOf(std::span<const summary::NodeId> nodes,
                               std::span<const summary::EdgeId> edges) {
-  // Sequence-sensitive digest of the sorted sets: four interleaved splitmix
-  // lanes with per-stream salts (so {n1}|{} and {}|{e1} cannot collide
-  // trivially), folded with both counts. The lane scheme exists so the
-  // 4-wide kernel tier computes the identical value; this hash is purely an
+  // Sequence-sensitive digest of the sorted sets. This hash is purely an
   // in-memory dedup key (candidate store, augmentation cache), never
-  // serialized, so its definition is free to follow the kernels.
+  // serialized.
   static_assert(std::is_same_v<summary::NodeId, std::uint32_t>);
   static_assert(std::is_same_v<summary::EdgeId, std::uint32_t>);
-  return simd::ActiveKernels().struct_hash(nodes.data(), nodes.size(),
-                                           edges.data(), edges.size());
+  std::uint64_t lane[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
+                           kLaneSeed[3]};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    lane[i & 3] = Mix64(lane[i & 3] ^ (nodes[i] | kNodeSalt));
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    lane[i & 3] = Mix64(lane[i & 3] ^ (edges[i] | kEdgeSalt));
+  }
+  const std::uint64_t counts =
+      Mix64(static_cast<std::uint64_t>(nodes.size()) * 0x9e3779b97f4a7c15ULL ^
+            static_cast<std::uint64_t>(edges.size()));
+  return Mix64(lane[0] ^ Mix64(lane[1] ^ Mix64(lane[2] ^
+                                               Mix64(lane[3] ^ counts))));
 }
 
 std::string MatchingSubgraph::StructureKey() const {

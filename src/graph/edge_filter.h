@@ -1,7 +1,6 @@
 #ifndef GRASP_GRAPH_EDGE_FILTER_H_
 #define GRASP_GRAPH_EDGE_FILTER_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -9,7 +8,6 @@
 
 #include "common/flat_storage.h"
 #include "common/logging.h"
-#include "simd/kernels.h"
 
 namespace grasp::graph {
 
@@ -59,14 +57,15 @@ class EdgeFilter {
   /// The result owns its words and is tail-masked explicitly, so composed
   /// masks uphold the zero-padding invariant even if an input violated it.
   static EdgeFilter And(const EdgeFilter& a, const EdgeFilter& b) {
-    return Compose(a, b, simd::ActiveKernels().mask_and);
+    return Compose(a, b, [](std::uint64_t x, std::uint64_t y) { return x & y; });
   }
   static EdgeFilter Or(const EdgeFilter& a, const EdgeFilter& b) {
-    return Compose(a, b, simd::ActiveKernels().mask_or);
+    return Compose(a, b, [](std::uint64_t x, std::uint64_t y) { return x | y; });
   }
   /// Edges admitted by `a` but not `b`.
   static EdgeFilter AndNot(const EdgeFilter& a, const EdgeFilter& b) {
-    return Compose(a, b, simd::ActiveKernels().mask_andnot);
+    return Compose(a, b,
+                   [](std::uint64_t x, std::uint64_t y) { return x & ~y; });
   }
 
   std::uint32_t num_edges() const { return num_edges_; }
@@ -76,29 +75,27 @@ class EdgeFilter {
     return (words_[e >> 6] >> (e & 63)) & 1u;
   }
 
-  /// Number of admitted edges; dispatched word-popcount sweep.
+  /// Number of admitted edges; one popcount per word.
   std::size_t CountSet() const {
-    return static_cast<std::size_t>(simd::ActiveKernels().popcount_words(
-        words_.data(), words_.size()));
+    std::size_t count = 0;
+    for (const std::uint64_t w : words_.view()) {
+      count += static_cast<std::size_t>(std::popcount(w));
+    }
+    return count;
   }
 
-  /// Enumeration of every admitted edge id, ascending. The dispatched
-  /// collect_set kernel extracts each 8-word chunk's set bits into a stack
-  /// buffer (zero blocks cost one vector test), and `fn` consumes the ids
-  /// from there. This is the sweep the mask builders and the view-mode
-  /// baseline index construction use instead of a per-edge branch over the
-  /// full edge array.
+  /// Enumeration of every admitted edge id, ascending: each word's set bits
+  /// are peeled off with countr_zero, so zero words cost one test. This is
+  /// the sweep the mask builders and the view-mode baseline index
+  /// construction use instead of a per-edge branch over the full edge array.
   template <typename Fn>
   void ForEachSet(Fn&& fn) const {
     const std::span<const std::uint64_t> words = words_.view();
-    const auto collect = simd::ActiveKernels().collect_set;
-    constexpr std::size_t kChunkWords = 8;
-    std::uint32_t ids[kChunkWords * 64];
-    for (std::size_t w = 0; w < words.size(); w += kChunkWords) {
-      const std::size_t chunk = std::min(kChunkWords, words.size() - w);
-      const std::size_t got = collect(words.data() + w, chunk,
-                                      static_cast<std::uint32_t>(w << 6), ids);
-      for (std::size_t i = 0; i < got; ++i) fn(ids[i]);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const std::uint32_t base = static_cast<std::uint32_t>(w << 6);
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        fn(base + static_cast<std::uint32_t>(std::countr_zero(bits)));
+      }
     }
   }
 
@@ -147,14 +144,15 @@ class EdgeFilter {
   EdgeFilter(FlatStorage<std::uint64_t> words, std::uint32_t num_edges)
       : words_(std::move(words)), num_edges_(num_edges) {}
 
-  using ComposeFn = void (*)(const std::uint64_t*, const std::uint64_t*,
-                             std::uint64_t*, std::size_t);
+  template <typename WordOp>
   static EdgeFilter Compose(const EdgeFilter& a, const EdgeFilter& b,
-                            ComposeFn op) {
+                            WordOp op) {
     GRASP_CHECK_EQ(a.num_edges_, b.num_edges_)
         << "EdgeFilter compose over mismatched edge-id spaces";
     AlignedVector<std::uint64_t> out(NumWords(a.num_edges_));
-    op(a.words_.data(), b.words_.data(), out.data(), out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = op(a.words_[i], b.words_[i]);
+    }
     if (!out.empty()) out.back() &= TailMask(a.num_edges_);
     return EdgeFilter(FlatStorage<std::uint64_t>(std::move(out)),
                       a.num_edges_);

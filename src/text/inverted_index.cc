@@ -1,22 +1,16 @@
 #include "text/inverted_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
 
 #include "common/logging.h"
-#include "simd/kernels.h"
 #include "text/levenshtein.h"
 
 namespace grasp::text {
 namespace {
-
-// The postings kernel reads Posting runs as interleaved (doc, tf) uint32
-// records; pin the layout it assumes.
-static_assert(sizeof(InvertedIndex::Posting) == 2 * sizeof(std::uint32_t));
-static_assert(offsetof(InvertedIndex::Posting, doc) == 0);
-static_assert(offsetof(InvertedIndex::Posting, tf) == sizeof(std::uint32_t));
 
 // 32-bit character-presence signature for the fuzzy prefilter: bit
 // 1u << (c & 31) per byte. Folding distinct characters into one class only
@@ -27,6 +21,27 @@ std::uint32_t CharSignature(std::string_view text) {
     sig |= 1u << (static_cast<unsigned char>(c) & 31);
   }
   return sig;
+}
+
+// Banded-Levenshtein prefilter for one term against the query: keeps the
+// term iff
+//   (first != qf) + (last != ql) <= max_dist
+//   && popcount(qsig & ~sig) <= max_dist
+//   && popcount(sig & ~qsig) <= max_dist
+// All three are lower bounds on the true edit distance (each edit fixes at
+// most one boundary character / one presence-set element, and the &31
+// folding only merges classes), so no true candidate is ever rejected. Both
+// strings must be at least two characters long, which the first/last
+// character bound needs.
+bool FuzzyPrefilterKeeps(unsigned char first, unsigned char last,
+                         std::uint32_t sig, unsigned char qf,
+                         unsigned char ql, std::uint32_t qsig,
+                         std::uint32_t max_dist) {
+  const std::uint32_t boundary = static_cast<std::uint32_t>(first != qf) +
+                                 static_cast<std::uint32_t>(last != ql);
+  return boundary <= max_dist &&
+         static_cast<std::uint32_t>(std::popcount(qsig & ~sig)) <= max_dist &&
+         static_cast<std::uint32_t>(std::popcount(sig & ~qsig)) <= max_dist;
 }
 
 }  // namespace
@@ -212,8 +227,7 @@ double InvertedIndex::TermWeight(TermIdx term,
 
 void InvertedIndex::CollectCandidates(const std::string& token,
                                       const SearchOptions& options,
-                                      SearchScratch* scratch) const {
-  std::vector<Candidate>* candidates = &scratch->candidates;
+                                      std::vector<Candidate>* candidates) const {
   const TermIdx absent = static_cast<TermIdx>(vocabulary_size());
   auto add = [&](TermIdx term, double similarity) {
     if (similarity < options.min_similarity) return;
@@ -240,12 +254,12 @@ void InvertedIndex::CollectCandidates(const std::string& token,
 
   // 3) Syntactic (fuzzy) matching over the vocabulary, banded by length.
   // The length band [lo, hi] is one contiguous run of the CSR bucket array,
-  // so one kernel sweep over the per-term prefilter arrays rejects the bulk
-  // of the band on conservative edit-distance lower bounds, and only the
-  // survivors pay for banded-Levenshtein DP. The prefilter never drops a
-  // true candidate (every bound is exact-conservative), so the resulting
+  // so one sweep over the per-term prefilter arrays rejects the bulk of the
+  // band on conservative edit-distance lower bounds, and only the survivors
+  // pay for banded-Levenshtein DP. The prefilter never drops a true
+  // candidate (every bound is exact-conservative), so the resulting
   // candidate set — and with it every query result — is identical to the
-  // full scan's, on every kernel tier.
+  // full scan's.
   if (options.fuzzy && !token.empty()) {
     const std::size_t len = token.size();
     const std::size_t max_dist =
@@ -255,24 +269,21 @@ void InvertedIndex::CollectCandidates(const std::string& token,
     if (max_dist > 0 && bucket_offsets_.size() > 1) {
       // max_dist > 0 implies len >= 3, so lo >= len - len/3 >= 2: both the
       // query token and every banded term are at least two characters, as
-      // the kernel's first/last-character bound requires.
+      // the prefilter's first/last-character bound requires.
       const std::size_t lo = len > max_dist ? len - max_dist : 1;
       const std::size_t hi = std::min(max_bucket, len + max_dist);
       if (lo <= hi) {
-        const std::uint32_t begin = bucket_offsets_[lo];
+        const auto qf = static_cast<unsigned char>(token.front());
+        const auto ql = static_cast<unsigned char>(token.back());
+        const std::uint32_t qsig = CharSignature(token);
+        const auto bound = static_cast<std::uint32_t>(max_dist);
         const std::uint32_t end = bucket_offsets_[hi + 1];
-        const std::size_t n = end - begin;
-        scratch->prefilter_out.resize(n);
-        const std::size_t kept = simd::ActiveKernels().fuzzy_prefilter(
-            bucket_first_.data() + begin, bucket_last_.data() + begin,
-            bucket_sigs_.data() + begin, n,
-            static_cast<unsigned char>(token.front()),
-            static_cast<unsigned char>(token.back()), CharSignature(token),
-            static_cast<std::uint32_t>(max_dist),
-            scratch->prefilter_out.data());
-        for (std::size_t k = 0; k < kept; ++k) {
-          const TermIdx term =
-              bucket_terms_[begin + scratch->prefilter_out[k]];
+        for (std::uint32_t i = bucket_offsets_[lo]; i < end; ++i) {
+          if (!FuzzyPrefilterKeeps(bucket_first_[i], bucket_last_[i],
+                                   bucket_sigs_[i], qf, ql, qsig, bound)) {
+            continue;
+          }
+          const TermIdx term = bucket_terms_[i];
           const std::string_view text = TermText(term);
           const std::size_t dist =
               BoundedLevenshtein(token, text, max_dist);
@@ -313,20 +324,23 @@ std::vector<InvertedIndex::Hit> InvertedIndex::Search(
     s.matched.resize(num_docs, 0);
   }
 
-  const auto postings_update = simd::ActiveKernels().postings_best_update;
   for (const std::string& token : tokens) {
     s.candidates.clear();
-    CollectCandidates(token, options, &s);
+    CollectCandidates(token, options, &s.candidates);
     s.token_touched.clear();
+    // Fold each candidate's postings into `best`: a first touch (sentinel
+    // -1.0) records the doc, later touches keep the max weight.
     for (const Candidate& c : s.candidates) {
       const double weight = c.similarity * TermWeight(c.term, options);
-      const std::span<const Posting> run = PostingsOf(c.term);
-      const std::size_t before = s.token_touched.size();
-      s.token_touched.resize(before + run.size());
-      const std::size_t appended = postings_update(
-          reinterpret_cast<const std::uint32_t*>(run.data()), run.size(),
-          weight, s.best.data(), s.token_touched.data() + before);
-      s.token_touched.resize(before + appended);
+      for (const Posting& p : PostingsOf(c.term)) {
+        double& best = s.best[p.doc];
+        if (best < 0.0) {
+          s.token_touched.push_back(p.doc);
+          best = weight;
+        } else if (weight > best) {
+          best = weight;
+        }
+      }
     }
     for (const std::uint32_t doc : s.token_touched) {
       if (s.matched[doc] == 0) s.all_touched.push_back(doc);

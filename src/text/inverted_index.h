@@ -161,13 +161,12 @@ class InvertedIndex {
     AlignedVector<std::uint32_t> matched;  ///< per-doc count of matched tokens
     AlignedVector<std::uint32_t> token_touched;  ///< docs touched by this token
     AlignedVector<std::uint32_t> all_touched;    ///< docs touched by any token
-    AlignedVector<std::uint32_t> prefilter_out;  ///< fuzzy-prefilter survivors
     std::vector<Candidate> candidates;
 
     std::size_t OwnedBytes() const {
       return best.capacity() * sizeof(double) + sum.capacity() * sizeof(double) +
              (matched.capacity() + token_touched.capacity() +
-              all_touched.capacity() + prefilter_out.capacity()) *
+              all_touched.capacity()) *
                  sizeof(std::uint32_t) +
              candidates.capacity() * sizeof(Candidate);
     }
@@ -191,7 +190,7 @@ class InvertedIndex {
   }
   void CollectCandidates(const std::string& token,
                          const SearchOptions& options,
-                         SearchScratch* scratch) const;
+                         std::vector<Candidate>* candidates) const;
   double TermWeight(TermIdx term, const SearchOptions& options) const;
 
   AnalyzerOptions analyzer_options_;
@@ -214,7 +213,7 @@ class InvertedIndex {
   /// ascending within each bucket), snapshot-serialized as-is. The parallel
   /// per-term prefilter arrays — first byte, last byte, character-presence
   /// signature, in bucket_terms_ order — are derived locally on (re)build
-  /// and feed the vectorized fuzzy-reject sweep.
+  /// and feed the fuzzy-reject sweep.
   FlatStorage<std::uint32_t> bucket_offsets_;
   FlatStorage<std::uint32_t> bucket_terms_;
   AlignedVector<unsigned char> bucket_first_;

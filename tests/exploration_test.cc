@@ -169,6 +169,16 @@ class Fig1ExplorationTest : public ::testing::Test {
   Pipeline pipeline_;
 };
 
+TEST(StructureHashTest, StructHashSeparatesStreamsAndCounts) {
+  // {n1}|{} vs {}|{e1} with the same id must differ (per-stream salts), and
+  // shifting an element across the stream boundary must change the hash.
+  const std::uint32_t id[] = {42};
+  EXPECT_NE(StructureHashOf(id, {}), StructureHashOf({}, id));
+  const std::uint32_t two[] = {1, 2};
+  EXPECT_NE(StructureHashOf(two, {}),
+            StructureHashOf(std::span(two, 1), std::span(two + 1, 1)));
+}
+
 TEST_F(Fig1ExplorationTest, FindsConnectingSubgraph) {
   ExplorationOptions options;
   options.k = 3;

@@ -100,6 +100,7 @@ TEST(EdgeFilterTest, ComposeOpsMatchPerBitAcrossWordBoundaries) {
     const EdgeFilter either = EdgeFilter::Or(a, b);
     const EdgeFilter only_a = EdgeFilter::AndNot(a, b);
     std::size_t expect_and = 0, expect_or = 0, expect_andnot = 0;
+    std::vector<std::uint32_t> or_ids, andnot_ids;
     for (std::uint32_t e = 0; e < n; ++e) {
       const bool in_a = e % 3 == 0;
       const bool in_b = e % 5 < 2;
@@ -109,7 +110,16 @@ TEST(EdgeFilterTest, ComposeOpsMatchPerBitAcrossWordBoundaries) {
       expect_and += in_a && in_b;
       expect_or += in_a || in_b;
       expect_andnot += in_a && !in_b;
+      if (in_a || in_b) or_ids.push_back(e);
+      if (in_a && !in_b) andnot_ids.push_back(e);
     }
+    // Enumeration of a composed mask yields exactly its set bits.
+    std::vector<std::uint32_t> enumerated;
+    either.ForEachSet([&](std::uint32_t e) { enumerated.push_back(e); });
+    EXPECT_EQ(enumerated, or_ids) << "n=" << n;
+    enumerated.clear();
+    only_a.ForEachSet([&](std::uint32_t e) { enumerated.push_back(e); });
+    EXPECT_EQ(enumerated, andnot_ids) << "n=" << n;
     // CountSet is a whole-word popcount, so these only hold if composition
     // re-applied the tail mask (Or's padding would otherwise survive the
     // word-level op whenever both inputs were built full).
@@ -127,9 +137,20 @@ TEST(EdgeFilterTest, ComposeOpsMatchPerBitAcrossWordBoundaries) {
   }
 }
 
-TEST(EdgeFilterTest, ForEachSetCrossesCollectChunkBoundaries) {
-  // Sizes straddling the enumerator's internal word-chunking: one bit per
-  // word, plus dense words, over >8 words.
+TEST(EdgeFilterTest, CollectSetHitsExactWordBoundaryBits) {
+  // Bits at the classic off-by-one positions: 0, 63, 64, 65, 127, 128.
+  const std::vector<std::uint32_t> bits = {0, 63, 64, 65, 127, 128};
+  const EdgeFilter f = EdgeFilter::Build(130, [&](std::uint32_t e) {
+    return std::find(bits.begin(), bits.end(), e) != bits.end();
+  });
+  std::vector<std::uint32_t> enumerated;
+  f.ForEachSet([&](std::uint32_t e) { enumerated.push_back(e); });
+  EXPECT_EQ(enumerated, bits);
+  EXPECT_EQ(f.CountSet(), bits.size());
+}
+
+TEST(EdgeFilterTest, ForEachSetAcrossManyWords) {
+  // Masks of more than eight words: one bit per word, plus dense words.
   for (std::uint32_t n : {511u, 512u, 513u, 1025u}) {
     const EdgeFilter sparse = EdgeFilter::Build(
         n, [](std::uint32_t e) { return e % 64 == 63 || e % 97 == 0; });

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -435,6 +436,52 @@ TEST(InvertedIndexEdgeTest, ShortTokensNeverFuzzyMatch) {
   auto hits = index.Search("ac");  // distance 1 but len/3 == 0
   EXPECT_FALSE(std::any_of(hits.begin(), hits.end(),
                            [&](const auto& h) { return h.doc == ab; }));
+}
+
+TEST(InvertedIndexEdgeTest, FuzzyPrefilterNeverRejectsTrueMatch) {
+  // The fuzzy prefilter's bounds must be conservative: every document whose
+  // term is within the effective edit distance of the query must be hit,
+  // and nothing else. One random lowercase term per document, analyzed
+  // verbatim so document i holds exactly terms[i].
+  AnalyzerOptions verbatim;
+  verbatim.drop_stopwords = false;
+  verbatim.stem = false;
+  verbatim.emit_compound = false;
+  InvertedIndex index{verbatim};
+  std::mt19937_64 rng(0x5eed0006);
+  std::vector<std::string> terms;
+  for (int i = 0; i < 500; ++i) {
+    std::string term(2 + rng() % 10, ' ');
+    for (char& c : term) c = static_cast<char>('a' + rng() % 26);
+    index.AddDocument(term);
+    terms.push_back(std::move(term));
+  }
+  index.Finalize();
+
+  InvertedIndex::SearchOptions options;
+  options.min_similarity = 0.0;
+  options.use_idf = false;
+  options.length_normalize = false;
+  for (int q = 0; q < 40; ++q) {
+    const std::string query = terms[rng() % terms.size()];
+    for (std::size_t max_dist : {1u, 2u}) {
+      options.max_edit_distance = max_dist;
+      const std::size_t bound = std::min(max_dist, query.size() / 3);
+      std::vector<InvertedIndex::DocId> hit_docs;
+      for (const InvertedIndex::Hit& h : index.Search(query, options)) {
+        hit_docs.push_back(h.doc);
+      }
+      std::sort(hit_docs.begin(), hit_docs.end());
+      std::vector<InvertedIndex::DocId> expected;
+      for (std::size_t i = 0; i < terms.size(); ++i) {
+        if (BoundedLevenshtein(query, terms[i], bound) <= bound) {
+          expected.push_back(static_cast<InvertedIndex::DocId>(i));
+        }
+      }
+      EXPECT_EQ(hit_docs, expected)
+          << "query \"" << query << "\" max_dist " << max_dist;
+    }
+  }
 }
 
 }  // namespace

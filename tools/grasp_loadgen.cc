@@ -40,6 +40,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -47,6 +48,7 @@
 
 #include "bench_util.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "datagen/workload.h"
 #include "net/socket.h"
@@ -56,6 +58,15 @@ namespace {
 
 using grasp::core::KeywordSearchEngine;
 using grasp::serve::QueryServer;
+
+/// Ceilings of the integer flags. Workers and queue capacity match
+/// grasp_serve's; k matches the clamp the HTTP front-end applies to `k=`.
+/// Every network-mode request holds a thread until its wave ends, so the
+/// request count is bounded too.
+constexpr std::uint64_t kMaxWorkersPerLane = 256;
+constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+constexpr std::uint64_t kMaxK = 1000;
+constexpr std::uint64_t kMaxRequests = 1'000'000;
 
 struct Args {
   double qps = 100.0;
@@ -92,20 +103,38 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const std::size_t len = std::strlen(prefix);
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
     };
+    // Integer flags parse strictly (see grasp::ParseUint): a sign, trailing
+    // bytes or a value above `max` is a usage error, never a wrapped or
+    // huge number.
+    auto parse_uint = [&arg](const char* v, std::uint64_t max,
+                             std::size_t* out) {
+      const std::optional<std::uint64_t> parsed = grasp::ParseUint(v, max);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "bad value (want an integer in 0..%llu): %s\n",
+                     static_cast<unsigned long long>(max), arg.c_str());
+        return false;
+      }
+      *out = static_cast<std::size_t>(*parsed);
+      return true;
+    };
     if (const char* v = value("--qps=")) {
       args->qps = std::atof(v);
     } else if (const char* v = value("--requests=")) {
-      args->requests = static_cast<std::size_t>(std::atol(v));
+      if (!parse_uint(v, kMaxRequests, &args->requests)) return false;
     } else if (const char* v = value("--deadline-ms=")) {
       args->deadline_ms = std::atof(v);
     } else if (const char* v = value("--k=")) {
-      args->k = static_cast<std::size_t>(std::atol(v));
+      if (!parse_uint(v, kMaxK, &args->k)) return false;
     } else if (const char* v = value("--fast-workers=")) {
-      args->fast_workers = static_cast<std::size_t>(std::atol(v));
+      if (!parse_uint(v, kMaxWorkersPerLane, &args->fast_workers)) {
+        return false;
+      }
     } else if (const char* v = value("--deep-workers=")) {
-      args->deep_workers = static_cast<std::size_t>(std::atol(v));
+      if (!parse_uint(v, kMaxWorkersPerLane, &args->deep_workers)) {
+        return false;
+      }
     } else if (const char* v = value("--queue-capacity=")) {
-      args->queue_capacity = static_cast<std::size_t>(std::atol(v));
+      if (!parse_uint(v, kMaxSize, &args->queue_capacity)) return false;
     } else if (const char* v = value("--json=")) {
       args->json_path = v;
     } else if (const char* v = value("--assert-shed-min=")) {
@@ -156,8 +185,7 @@ double Percentile(const std::vector<double>& sorted, double p) {
 }
 
 /// One google-benchmark-shaped entry; `unit` is "ms" for latencies and "ns"
-/// for dimensionless rates (the trend checker only needs consistency with
-/// itself run-over-run).
+/// for dimensionless rates.
 void JsonEntry(std::FILE* f, const char* name, double value, const char* unit,
                bool last) {
   std::fprintf(f,
