@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "core/completion_bound.h"
 #include "core/engine.h"
 #include "core/exploration.h"
 #include "core/exploration_reference.h"
@@ -571,6 +572,42 @@ void BM_ExplorationSweepReference(benchmark::State& state) {
 BENCHMARK(BM_ExplorationSweepReference)
     ->ArgNames({"classes", "m", "k"})
     ->ArgsProduct({{64, 256, 1024}, {2, 3}, {1, 10}});
+
+// ---------------------------------------------------- completion bounds --
+// Per-query build of the goal-directed prune's cost-to-complete bound
+// (scoped adjacency, one forward and one backward Dijkstra per keyword) on
+// a tap_deep-shaped query: the TAP 48-class summary augmented for one
+// "<domain> <concept> <digit>" keyword triple, 16 matches per keyword as
+// the engine keeps. Every explorer run in the serving mode pays this once,
+// on top of the dense element costs both modes fill.
+
+void BM_CompletionBounds(benchmark::State& state) {
+  TapFixture& f = ScaledTapFixture(48);
+  grasp::text::InvertedIndex::SearchOptions options;
+  options.max_results = 16;
+  std::vector<std::vector<grasp::keyword::KeywordMatch>> matches;
+  for (const char* keyword : {"art", "venue", "3"}) {
+    matches.push_back(f.index->Lookup(keyword, options));
+    if (matches.back().empty()) {
+      state.SkipWithError("completion-bound keyword without matches");
+      return;
+    }
+  }
+  const grasp::summary::AugmentedGraph augmented =
+      grasp::summary::AugmentedGraph::Build(*f.summary, matches);
+  std::vector<double> element_cost;
+  grasp::core::CostFunction(grasp::core::CostModel::kMatching, augmented)
+      .DenseCosts(&element_cost);
+  grasp::core::CompletionBounds bounds;
+  for (auto _ : state) {
+    grasp::core::ComputeCompletionBounds(augmented, nullptr, element_cost,
+                                         &bounds);
+    benchmark::DoNotOptimize(bounds.h.data());
+  }
+  state.counters["elements"] = static_cast<double>(augmented.num_elements());
+  state.counters["keywords"] = static_cast<double>(augmented.num_keywords());
+}
+BENCHMARK(BM_CompletionBounds);
 
 // --------------------------------------------- filtered exploration sweep --
 // Predicate-scoped exploration through graph::OverlayEdgeFilter views vs

@@ -37,4 +37,16 @@ double CostFunction::ElementCost(summary::ElementId element) const {
   return 1.0;
 }
 
+void CostFunction::DenseCosts(std::vector<double>* out) const {
+  const std::uint32_t nodes = static_cast<std::uint32_t>(graph_->NumNodes());
+  const std::uint32_t edges = static_cast<std::uint32_t>(graph_->NumEdges());
+  out->resize(graph_->num_elements());
+  for (summary::NodeId v = 0; v < nodes; ++v) {
+    (*out)[v] = ElementCost(summary::ElementId::Node(v));
+  }
+  for (summary::EdgeId e = 0; e < edges; ++e) {
+    (*out)[nodes + e] = ElementCost(summary::ElementId::Edge(e));
+  }
+}
+
 }  // namespace grasp::core

@@ -1,6 +1,8 @@
 #ifndef GRASP_CORE_COST_MODEL_H_
 #define GRASP_CORE_COST_MODEL_H_
 
+#include <vector>
+
 #include "summary/augmented_graph.h"
 
 namespace grasp::core {
@@ -31,6 +33,10 @@ class CostFunction {
 
   /// Cost contribution of one graph element to a path through it.
   double ElementCost(summary::ElementId element) const;
+
+  /// ElementCost of every element, indexed by AugmentedGraph::DenseIndex
+  /// (nodes first, then edges) into `out`, which keeps its capacity.
+  void DenseCosts(std::vector<double>* out) const;
 
   CostModel model() const { return model_; }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "core/completion_bound.h"
 
 namespace grasp::core {
 namespace {
@@ -55,15 +56,6 @@ bool SubgraphExplorer::InAncestors(std::uint32_t cursor,
   return false;
 }
 
-double SubgraphExplorer::CachedElementCost(summary::ElementId element) const {
-  const std::size_t i = graph_->DenseIndex(element);
-  if (scratch_->element_cost_epoch[i] != scratch_->cost_epoch) {
-    scratch_->element_cost_epoch[i] = scratch_->cost_epoch;
-    scratch_->element_cost[i] = cost_fn_.ElementCost(element);
-  }
-  return scratch_->element_cost[i];
-}
-
 std::uint32_t SubgraphExplorer::ChosenCursor(std::uint32_t j, std::uint32_t kw,
                                              std::uint32_t new_cursor,
                                              const std::uint32_t* choice) const {
@@ -82,8 +74,10 @@ double SubgraphExplorer::RemainingLowerBound() const {
   // A future candidate consists of one path that is still on the heap
   // (cost >= heap top) plus, for every other keyword, some path that costs
   // at least that keyword's cheapest root — the completion floor.
-  if (scratch_->heap.empty()) return kInf;
-  return scratch_->heap.Top().cost + completion_floor_;
+  // Pruned cursors never reach the heap; their bound stands in for them.
+  if (scratch_->heap.empty()) return pruned_floor_;
+  return std::min(scratch_->heap.Top().cost + completion_floor_,
+                  pruned_floor_);
 }
 
 double SubgraphExplorer::StopBound(double pending_cost) const {
@@ -94,7 +88,17 @@ double SubgraphExplorer::StopBound(double pending_cost) const {
   // re-ranking requires a strictly cheaper decomposition, so ranked
   // candidates strictly below the bound are already in their final order —
   // the verified prefix of the unbounded ranking.
-  return pending_cost + completion_floor_;
+  return std::min(pending_cost + completion_floor_, pruned_floor_);
+}
+
+bool SubgraphExplorer::Prune(double cost, summary::ElementId element,
+                             std::uint32_t keyword, double threshold) {
+  const double key =
+      PruneKey(cost, scratch_->bounds.At(graph_->DenseIndex(element), keyword));
+  if (key <= threshold) return false;
+  ++stats_.cursors_pruned;
+  pruned_floor_ = std::min(pruned_floor_, key);
+  return true;
 }
 
 std::size_t SubgraphExplorer::CandidateCap() const {
@@ -335,6 +339,7 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
   scratch_->Reset();
   ++scratch_->queries_run;
   stop_bound_ = kInf;
+  pruned_floor_ = kInf;
   GrowTracker grow_tracker(scratch_);
 
   const auto& keyword_elements = graph_->keyword_elements();
@@ -346,12 +351,7 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
   auto& cursors = scratch_->cursors;
   auto& heap = scratch_->heap;
 
-  // Size the element-cost cache for this query's graph; entries from older
-  // (smaller) epochs are invalid by stamp, so no clearing is needed.
-  if (scratch_->element_cost_epoch.size() < graph_->num_elements()) {
-    scratch_->element_cost_epoch.resize(graph_->num_elements(), 0);
-    scratch_->element_cost.resize(graph_->num_elements(), 0.0);
-  }
+  cost_fn_.DenseCosts(&scratch_->element_cost);
 
   // Alg. 1, lines 1-6: one root cursor per keyword element. Under an edge
   // scope, keyword elements that are masked edges are not part of the
@@ -359,6 +359,13 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
   // completion floor, and a keyword whose every element is scoped out makes
   // the query unanswerable (mirrored exactly by ReferenceExplorer).
   const graph::OverlayEdgeFilter* scope = options_.edge_filter;
+  // Goal-directed pruning (serving mode) reads the admissible
+  // cost-to-complete bound of every (element, keyword), built up front.
+  const bool goal_directed = options_.tightened_bound;
+  if (goal_directed) {
+    ComputeCompletionBounds(*graph_, scope, scratch_->element_cost,
+                            &scratch_->bounds);
+  }
   double min_root_sum = 0.0, min_root_max = 0.0;
   for (std::uint32_t i = 0; i < num_keywords_; ++i) {
     double min_root = kInf;
@@ -369,6 +376,10 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
       }
       const double w = CachedElementCost(se.element);
       min_root = std::min(min_root, w);
+      // While fewer than k candidates exist, only h = +inf prunes.
+      if (goal_directed && Prune(w, se.element, i, PruneThreshold(kInf))) {
+        continue;
+      }
       const std::uint32_t idx = static_cast<std::uint32_t>(cursors.size());
       cursors.push_back(FlatCursor{se.element, -1, i, 0, w,
                                    FlatCursor::SigBit(se.element)});
@@ -428,12 +439,18 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
     }
 
     const summary::ElementId n = cursor.element;
-    PathListTable::Slot& path_list =
-        scratch_->paths.Acquire(PathKey(n, cursor.keyword));
-    const bool record = !options_.prune_paths_per_element ||
-                        path_list.count < options_.k;
+    // Goal-directed prune at pop: the k-th cost may have fallen since the
+    // cursor was created. A skipped cursor is neither recorded nor expanded.
+    const bool pruned =
+        goal_directed && Prune(cursor.cost, n, cursor.keyword,
+                                    PruneThreshold(KthCandidateCost()));
+    PathListTable::Slot* path_list =
+        pruned ? nullptr : &scratch_->paths.Acquire(PathKey(n, cursor.keyword));
+    const bool record =
+        !pruned && (!options_.prune_paths_per_element ||
+                    path_list->count < options_.k);
     if (record) {
-      scratch_->paths.AppendTo(path_list, cursor_idx);  // Alg. 1: addCursor
+      scratch_->paths.AppendTo(*path_list, cursor_idx);  // Alg. 1: addCursor
       ++stats_.paths_recorded;
       GenerateCandidates(n, cursor_idx);  // Alg. 2 body
 
@@ -445,10 +462,14 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
             cursor.parent >= 0
                 ? cursors[static_cast<std::size_t>(cursor.parent)].element
                 : summary::ElementId();
+        const double threshold = PruneThreshold(KthCandidateCost());
         auto try_expand = [&](summary::ElementId nb) {
           if (nb == parent_element) return;
           if (InAncestors(cursor_idx, nb)) return;
           const double w = cursor.cost + CachedElementCost(nb);
+          if (goal_directed && Prune(w, nb, cursor.keyword, threshold)) {
+            return;
+          }
           const std::uint32_t child =
               static_cast<std::uint32_t>(cursors.size());
           cursors.push_back(FlatCursor{
@@ -499,8 +520,9 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
   // Completeness certificate: every matching subgraph of the graph whose
   // cost is strictly below this is already represented in the candidate
   // store (possibly deduplicated). A complete run certifies up to the
-  // remaining-cost lower bound (= +inf when the heap drained); an early
-  // stop certifies up to its verified stop bound.
+  // remaining-cost lower bound (the pruned floor once the heap drained,
+  // +inf if nothing was pruned); an early stop certifies up to its
+  // verified stop bound.
   stats_.complete_below = std::min(stop_bound_, RemainingLowerBound());
 
   const auto& ranked = scratch_->candidates.ranked();

@@ -27,16 +27,25 @@ struct ExplorationOptions {
   /// Keep only the k cheapest paths per (element, keyword) pair — the space
   /// bound k*|K|*|G| of Sec. VI-C. Disable for the ablation benchmark.
   bool prune_paths_per_element = true;
-  /// Stop bound of Alg. 2. On (the default), the lower bound on anything
-  /// still undiscovered is the cheapest cursor plus the completion floor:
-  /// every other keyword's cheapest root, i.e. sum(min roots) - max(min
-  /// root). Off, it is the paper's plain cheapest-cursor bound. Both are
-  /// sound, and the stop test is strict (k-th cost < bound), so every
-  /// candidate the longer plain run adds costs more than the k-th: the
-  /// returned ranking is identical either way and the tightened run just
-  /// stops sooner. The same floor lifts the verified-prefix bound of a
-  /// budget, cancel or deadline stop, so such prefixes are never shorter.
-  /// The paper's Fig. 5/6a harnesses switch it off to reproduce Alg. 2.
+  /// Serving stop mode. On (the default), two sound refinements of Alg. 2
+  /// apply; off, the run is the paper's Alg. 2 unchanged, which the Fig.
+  /// 5/6a harnesses reproduce.
+  ///  - The lower bound on anything still undiscovered is the cheapest
+  ///    cursor plus the completion floor: every other keyword's cheapest
+  ///    root, i.e. sum(min roots) - max(min root).
+  ///  - Goal-directed pruning (core/completion_bound.h): a cursor whose
+  ///    cost plus its admissible cost-to-complete h exceeds the current
+  ///    k-th candidate cost is never created, or is skipped when popped.
+  ///    Cursors with h = +inf cannot reach any connecting element and are
+  ///    never created.
+  /// The pop order, heap keys and stop test are those of Alg. 2, the k-th
+  /// cost only falls, and every candidate through a pruned cursor costs
+  /// more than it; so the candidates that reach the top k are generated in
+  /// the same relative order with the same costs, and the returned ranking
+  /// is identical either way (discovery stamps aside: they count pops).
+  /// The cheapest pruned bound joins the verified-prefix bound of a
+  /// budget, cancel or deadline stop and `complete_below`; it is above the
+  /// k-th cost, so such prefixes are never shorter.
   bool tightened_bound = true;
   /// Record the per-pop cost trace (pop_cost_trace()). Off by default so
   /// the hot loop does not grow a vector on every pop; the Theorem 1
@@ -73,6 +82,9 @@ struct ExplorationOptions {
 struct ExplorationStats {
   std::size_t cursors_created = 0;
   std::size_t cursors_popped = 0;
+  /// Cursors dropped by goal-directed pruning (tightened_bound): never
+  /// created, or popped and skipped without recording or expanding.
+  std::size_t cursors_pruned = 0;
   std::size_t paths_recorded = 0;
   std::size_t subgraphs_generated = 0;   ///< candidate insertions attempted
   std::size_t subgraphs_deduplicated = 0;
@@ -151,9 +163,10 @@ class SubgraphExplorer {
   }
 
   bool InAncestors(std::uint32_t cursor, summary::ElementId element) const;
-  /// ElementCost through the scratch's per-query cache (costs are
-  /// query-constant; cursors revisit elements constantly).
-  double CachedElementCost(summary::ElementId element) const;
+  /// ElementCost read from the scratch's per-query dense cost array.
+  double CachedElementCost(summary::ElementId element) const {
+    return scratch_->element_cost[graph_->DenseIndex(element)];
+  }
   /// The cursor a combination chose for keyword `j` (`choice` is indexed by
   /// dims position; the just-recorded cursor covers its own keyword).
   std::uint32_t ChosenCursor(std::uint32_t j, std::uint32_t kw,
@@ -172,10 +185,17 @@ class SubgraphExplorer {
   /// structures (+inf while the candidate list is below capacity).
   double CandidatePruneCost() const;
   /// Smallest cost any not-yet-generated candidate could have: the heap
-  /// top plus the completion floor.
+  /// top plus the completion floor, capped by the pruned floor.
   double RemainingLowerBound() const;
   /// Cost of the current k-th best candidate (+inf while fewer than k).
   double KthCandidateCost() const;
+  /// Goal-directed prune test (tightened_bound only) of a
+  /// keyword-`keyword` cursor of cost `cost` at `element` against
+  /// `threshold` (PruneThreshold of the k-th cost), reading the scratch's
+  /// CompletionBounds. A pruned cursor is counted and its bound folded into
+  /// pruned_floor_.
+  bool Prune(double cost, summary::ElementId element, std::uint32_t keyword,
+             double threshold);
   /// Lower bound on any candidate the continued run could still produce,
   /// given that `pending_cost` is the cheapest unprocessed cursor (the one
   /// whose pop the stop interrupted). Ranked candidates strictly below this
@@ -194,6 +214,9 @@ class SubgraphExplorer {
   /// other keywords' cheapest roots, sum(min roots) - max(min root), fixed
   /// once roots are seeded. 0 under the plain bound (tightened_bound off).
   double completion_floor_ = 0.0;
+  /// Smallest PruneKey of any pruned cursor: every candidate through one
+  /// costs at least this, so it caps the stop and completeness bounds.
+  double pruned_floor_ = std::numeric_limits<double>::infinity();
 
   /// Self-owned scratch for callers that did not pass one.
   std::unique_ptr<ExplorationScratch> owned_scratch_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "core/completion_bound.h"
 
 namespace grasp::core {
 namespace {
@@ -97,8 +98,8 @@ double ReferenceExplorer::RemainingLowerBound() const {
   for (const auto& q : queues_) {
     if (!q.empty()) min_cursor = std::min(min_cursor, q.front().first);
   }
-  if (min_cursor == kInf) return kInf;
-  return min_cursor + completion_floor_;
+  if (min_cursor == kInf) return pruned_floor_;
+  return std::min(min_cursor + completion_floor_, pruned_floor_);
 }
 
 double ReferenceExplorer::StopBound(double pending_cost) const {
@@ -106,7 +107,17 @@ double ReferenceExplorer::StopBound(double pending_cost) const {
   // unprocessed cursor (at least as cheap as every queued one): any
   // candidate the continued run could still produce costs at least this
   // much, so ranked candidates strictly below it are final.
-  return pending_cost + completion_floor_;
+  return std::min(pending_cost + completion_floor_, pruned_floor_);
+}
+
+bool ReferenceExplorer::Prune(double cost, summary::ElementId element,
+                              std::uint32_t keyword, double threshold) {
+  const double key =
+      PruneKey(cost, bounds_.At(graph_->DenseIndex(element), keyword));
+  if (key <= threshold) return false;
+  ++stats_.cursors_pruned;
+  pruned_floor_ = std::min(pruned_floor_, key);
+  return true;
 }
 
 std::size_t ReferenceExplorer::CandidateCap() const {
@@ -303,6 +314,12 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
     if (k_i.empty()) return {};  // some keyword cannot be interpreted
   }
 
+  const bool goal_directed = options_.tightened_bound;
+  if (goal_directed) {
+    cost_fn_.DenseCosts(&element_cost_);
+    ComputeCompletionBounds(*graph_, options_.edge_filter, element_cost_,
+                            &bounds_);
+  }
   // Alg. 1, lines 1-6: one root cursor per keyword element. Keyword
   // elements that are scope-masked edges are not part of the scoped graph
   // (same rule as SubgraphExplorer, which the differential suite pins).
@@ -316,6 +333,9 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
       }
       const double w = cost_fn_.ElementCost(se.element);
       min_root = std::min(min_root, w);
+      if (goal_directed && Prune(w, se.element, i, PruneThreshold(kInf))) {
+        continue;
+      }
       const std::uint32_t idx = static_cast<std::uint32_t>(cursors_.size());
       cursors_.push_back(Cursor{se.element, -1, i, 0, w});
       queues_[i].emplace_back(w, idx);
@@ -376,9 +396,13 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
     }
 
     const summary::ElementId n = cursor.element;
+    // Goal-directed prune at pop, as in SubgraphExplorer.
+    const bool pruned =
+        goal_directed && Prune(cursor.cost, n, cursor.keyword,
+                                PruneThreshold(KthCandidateCost()));
     auto& paths = PathsAt(n, cursor.keyword);
-    const bool record =
-        !options_.prune_paths_per_element || paths.size() < options_.k;
+    const bool record = !pruned && (!options_.prune_paths_per_element ||
+                                    paths.size() < options_.k);
     if (record) {
       paths.push_back(cursor_idx);  // Alg. 1, line 11: n.addCursor(c)
       ++stats_.paths_recorded;
@@ -392,10 +416,14 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
             cursor.parent >= 0
                 ? cursors_[static_cast<std::size_t>(cursor.parent)].element
                 : summary::ElementId();
+        const double threshold = PruneThreshold(KthCandidateCost());
         for (summary::ElementId nb : neighbors) {
           if (nb == parent_element) continue;
           if (InAncestors(cursor_idx, nb)) continue;
           const double w = cursor.cost + cost_fn_.ElementCost(nb);
+          if (goal_directed && Prune(w, nb, cursor.keyword, threshold)) {
+            continue;
+          }
           const std::uint32_t child = static_cast<std::uint32_t>(cursors_.size());
           cursors_.push_back(
               Cursor{nb, static_cast<std::int32_t>(cursor_idx),

@@ -10,6 +10,7 @@
 
 #include "core/cost_model.h"
 #include "core/exploration.h"
+#include "core/exploration_scratch.h"
 #include "core/subgraph.h"
 #include "summary/augmented_graph.h"
 
@@ -56,6 +57,9 @@ class ReferenceExplorer {
   double CandidatePruneCost() const;
   double RemainingLowerBound() const;
   double KthCandidateCost() const;
+  /// Goal-directed prune test; same rule as SubgraphExplorer::Prune.
+  bool Prune(double cost, summary::ElementId element, std::uint32_t keyword,
+             double threshold);
   /// Verified-prefix bound for early stops; same formula, same semantics as
   /// SubgraphExplorer::StopBound — the differential suite pins both.
   double StopBound(double pending_cost) const;
@@ -77,6 +81,11 @@ class ReferenceExplorer {
 
   /// Completion floor; see SubgraphExplorer::completion_floor_.
   double completion_floor_ = 0.0;
+  /// Cost-to-complete bounds (tightened_bound only) and the pruned floor;
+  /// see SubgraphExplorer::Prune and pruned_floor_.
+  std::vector<double> element_cost_;  ///< the bound's input, DenseIndex order
+  CompletionBounds bounds_;
+  double pruned_floor_ = std::numeric_limits<double>::infinity();
   std::vector<double> pop_cost_trace_;
 };
 

@@ -113,6 +113,36 @@ class CursorHeap {
   std::vector<Entry> slots_;
 };
 
+/// Pooled per-query arrays of the cost-to-complete bound, filled by
+/// ComputeCompletionBounds (core/completion_bound.h). Elements are addressed
+/// by AugmentedGraph::DenseIndex; per-keyword arrays are keyword-major.
+struct CompletionBounds {
+  /// One step of a node's scoped adjacency: an in-scope incident edge and
+  /// the node on its far side (the node itself for a self-loop).
+  struct Hop {
+    std::uint32_t edge;  ///< dense index of the edge
+    std::uint32_t node;
+  };
+
+  std::size_t num_nodes = 0;
+  std::size_t num_elements = 0;
+  std::vector<std::uint32_t> hops_begin;  ///< per node, into `hops`
+  std::vector<Hop> hops;
+  std::vector<double> reach;  ///< D_j(x) at [j * num_elements + x]
+  std::vector<double> h;      ///< h_i(x) at [i * num_elements + x]
+  CursorHeap heap;            ///< Dijkstra frontier of (distance, node)
+
+  double At(std::size_t dense, std::uint32_t keyword) const {
+    return h[keyword * num_elements + dense];
+  }
+
+  std::size_t CapacityBytes() const {
+    return (reach.capacity() + h.capacity()) * sizeof(double) +
+           hops_begin.capacity() * sizeof(std::uint32_t) +
+           hops.capacity() * sizeof(Hop) + heap.CapacityBytes();
+  }
+};
+
 /// Sparse replacement for the seed's dense `paths_at_` (a num_elements x
 /// num_keywords vector-of-vectors, almost entirely empty): an open-addressing
 /// table keyed by (dense element, keyword), each entry holding a small
@@ -428,14 +458,14 @@ struct ExplorationScratch {
 
   std::vector<double> pop_trace;  ///< recorded only when record_pop_trace
 
-  /// Generation-stamped per-query element-cost cache, indexed by
-  /// AugmentedGraph::DenseIndex. Element costs are query-constant, so each
-  /// is computed once per query instead of once per cursor expansion (the
-  /// C3 model's score lookup is a hash probe); the epoch bump makes the
-  /// per-query clear free.
+  CompletionBounds bounds;  ///< filled only under tightened_bound
+
+  /// The query's element costs, indexed by AugmentedGraph::DenseIndex and
+  /// filled once per query (CostFunction::DenseCosts): costs are
+  /// query-constant, cursors revisit elements constantly, and the C3
+  /// model's score lookup is a hash probe. The completion bound reads the
+  /// same array.
   std::vector<double> element_cost;
-  std::vector<std::uint64_t> element_cost_epoch;
-  std::uint64_t cost_epoch = 0;
 
   /// Number of FindTopK runs through this scratch, and how many of them had
   /// to grow a pooled allocation. In the steady state (same-shaped queries)
@@ -457,7 +487,6 @@ struct ExplorationScratch {
     cand_nodes.clear();
     cand_edges.clear();
     pop_trace.clear();
-    ++cost_epoch;  // invalidates element_cost without touching it
   }
 
   /// Total bytes currently reserved by the pooled structures (capacities,
@@ -473,9 +502,8 @@ struct ExplorationScratch {
            choice_arena.capacity() * sizeof(std::uint32_t) +
            cand_nodes.capacity() * sizeof(summary::NodeId) +
            cand_edges.capacity() * sizeof(summary::EdgeId) +
-           pop_trace.capacity() * sizeof(double) +
-           element_cost.capacity() * sizeof(double) +
-           element_cost_epoch.capacity() * sizeof(std::uint64_t);
+           pop_trace.capacity() * sizeof(double) + bounds.CapacityBytes() +
+           element_cost.capacity() * sizeof(double);
   }
 };
 

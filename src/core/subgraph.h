@@ -41,7 +41,9 @@ struct MatchingSubgraph {
   /// (cursors_popped << 20) | combination-index at the generating event.
   /// Both explorers enumerate combinations identically, so the coordinate
   /// is a total order on generation events that is stable across runs;
-  /// the explorer differential suite compares it entry by entry.
+  /// the explorer differential suite compares it entry by entry within one
+  /// stop mode. It counts pops, so it differs between the plain and the
+  /// tightened mode, which pops fewer cursors for the same ranking.
   std::uint64_t discovery = 0;
 
   /// Identity of the subgraph as a structure (independent of path

@@ -325,6 +325,7 @@ QueryServer::Response QueryServer::RunQuery(Pending pending) {
   slow.keywords = JoinKeywords(pending.request.query.keywords);
   slow.lane = pending.lane_name;
   slow.cursor_pops = response.result.exploration_stats.cursors_popped;
+  slow.cursors_pruned = response.result.exploration_stats.cursors_pruned;
   slow.stop_reason = StopReason(response.result.exploration_stats);
   slow.degraded = response.degraded;
   slow.queue_millis = response.queue_millis;

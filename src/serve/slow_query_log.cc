@@ -101,6 +101,7 @@ std::string SlowQueryLog::RenderJson() const {
     out += "\",\"lane\":\"";
     AppendEscaped(&out, e.lane);
     out += "\",\"cursor_pops\":" + std::to_string(e.cursor_pops);
+    out += ",\"cursors_pruned\":" + std::to_string(e.cursors_pruned);
     out += ",\"stop_reason\":\"";
     AppendEscaped(&out, e.stop_reason);
     out += "\",\"degraded\":";

@@ -29,6 +29,7 @@ class SlowQueryLog {
     std::string keywords;             // space-joined query terms
     std::string lane;                 // "fast" | "deep"
     std::uint64_t cursor_pops = 0;
+    std::uint64_t cursors_pruned = 0;  // goal-directed prune (ExplorationStats)
     std::string stop_reason;          // "completed" | "budget" | "deadline" |
                                       // "cancelled"
     bool degraded = false;

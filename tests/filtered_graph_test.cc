@@ -375,6 +375,8 @@ void ExpectIdenticalScopedTopK(const AugmentedGraph& augmented,
   EXPECT_EQ(flat.stats().subgraphs_generated,
             reference.stats().subgraphs_generated)
       << context;
+  EXPECT_EQ(flat.stats().cursors_pruned, reference.stats().cursors_pruned)
+      << context;
 
   // Scoped results must only contain in-scope edges — the semantic
   // guarantee the whole feature exists for.

@@ -469,6 +469,7 @@ TEST_F(NetServerTest, SlowQueryLogCapturesServedQueries) {
       << body;
   EXPECT_NE(body.find("\"total_millis\":"), std::string::npos);
   EXPECT_NE(body.find("\"stop_reason\":\"completed\""), std::string::npos);
+  EXPECT_NE(body.find("\"cursors_pruned\":"), std::string::npos) << body;
 }
 
 TEST_F(NetServerTest, ConcurrentScrapesUnderLiveTrafficStayRaceClean) {
