@@ -343,52 +343,6 @@ void BM_AugmentationCacheMissEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_AugmentationCacheMissEvict);
 
-// ------------------------------------------------------- batch serving QPS --
-// End-to-end throughput of KeywordSearchEngine::SearchBatch on a TAP
-// workload mix (repeated keys exercising the cache, distinct keys paying
-// augmentation + exploration), swept over worker count. items/s is QPS.
-// The 1 -> 8 thread scaling is the concurrency acceptance bar; it needs a
-// machine with >= 8 cores to show (CI runners report what they have via
-// the host context in the JSON).
-
-grasp::core::KeywordSearchEngine& TapEngine() {
-  static auto* engine = [] {
-    TapFixture& f = ScaledTapFixture(256);
-    return new grasp::core::KeywordSearchEngine(f.store, f.dictionary);
-  }();
-  return *engine;
-}
-
-void BM_SearchBatchQPS(benchmark::State& state) {
-  grasp::core::KeywordSearchEngine& engine = TapEngine();
-  using KeywordQuery = grasp::core::KeywordSearchEngine::KeywordQuery;
-  const std::vector<KeywordQuery> workload = {
-      {{"item", "album"}, 5},   {{"team", "player"}, 5},
-      {{"music", "song"}, 5},   {{"city", "country"}, 5},
-      {{"item", "album"}, 5},   {{"band", "award"}, 5},
-      {{"item", "team"}, 5},    {{"movies", "event"}, 5},
-      {{"sports", "club"}, 5},  {{"music", "song"}, 5},
-      {{"river", "mountain"}, 5}, {{"company", "product"}, 5},
-      {{"item", "album"}, 5},   {{"festival", "venue"}, 5},
-      {{"team", "player"}, 5},  {{"museum", "art"}, 5},
-  };
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  // Warm caches and pools so every measured batch serves steady-state.
-  engine.SearchBatch(workload, threads);
-  for (auto _ : state) {
-    auto results = engine.SearchBatch(workload, threads);
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(workload.size()));
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(BM_SearchBatchQPS)
-    ->ArgNames({"threads"})
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // ------------------------------------------------- cold vs warm engine start --
 // The index-snapshot acceptance bar: a warm engine (mmap + validate + hash
 // rebuilds) must be ready to serve at least 10x faster than a cold rebuild

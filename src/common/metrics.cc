@@ -62,16 +62,6 @@ std::string RenderLabelBlock(const Labels& labels) {
   return out;
 }
 
-/// `{a="b"}` -> `{a=b}` — quote-free label block for /statsz JSON keys.
-std::string JsonKeySuffix(const std::string& label_block) {
-  std::string out;
-  out.reserve(label_block.size());
-  for (char c : label_block) {
-    if (c != '"') out += c;
-  }
-  return out;
-}
-
 /// Splices extra labels (the `le` of a bucket line) into a rendered block.
 std::string WithExtraLabel(const std::string& label_block,
                            const std::string& extra) {
@@ -228,41 +218,6 @@ std::string Registry::RenderPrometheus() const {
     }
   }
   return out;
-}
-
-void Registry::AppendJsonEntries(std::string* out, bool* first) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto comma = [out, first] {
-    if (!*first) *out += ',';
-    *first = false;
-  };
-  for (const auto& [name, family] : counters_) {
-    for (const auto& [label_block, counter] : family.instances) {
-      comma();
-      *out += "\"" + name + JsonKeySuffix(label_block) +
-              "\":" + std::to_string(counter->value());
-    }
-  }
-  for (const auto& [name, family] : gauges_) {
-    for (const auto& [label_block, gauge] : family.instances) {
-      comma();
-      *out += "\"" + name + JsonKeySuffix(label_block) +
-              "\":" + FormatDouble(gauge->value());
-    }
-  }
-  for (const auto& [name, family] : histograms_) {
-    for (const auto& [label_block, histogram] : family.instances) {
-      const auto snap = histogram->TakeSnapshot();
-      comma();
-      *out += "\"" + name + JsonKeySuffix(label_block) + "\":{\"count\":" +
-              std::to_string(snap.count) + ",\"sum\":" +
-              FormatDouble(static_cast<double>(snap.sum) * family.scale) +
-              ",\"p50\":" + FormatDouble(snap.Percentile(50) * family.scale) +
-              ",\"p95\":" + FormatDouble(snap.Percentile(95) * family.scale) +
-              ",\"p99\":" + FormatDouble(snap.Percentile(99) * family.scale) +
-              "}";
-    }
-  }
 }
 
 }  // namespace grasp::metrics

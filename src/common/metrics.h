@@ -26,9 +26,9 @@ namespace grasp::metrics {
 ///     *derived* from its bucket sums, so cumulative bucket counts, the
 ///     +Inf bucket, and _count can never disagree within one scrape).
 ///  3. Exposition is first-class: the Registry renders the Prometheus text
-///     format (HELP/TYPE, labels, cumulative le buckets) and a JSON form
-///     for /statsz, both built on std::string — no fixed buffers, no
-///     silent truncation no matter how large the counters grow.
+///     format (HELP/TYPE, labels, cumulative le buckets) on std::string —
+///     no fixed buffers, no silent truncation no matter how large the
+///     counters grow.
 ///
 /// Everything registered lives for the Registry's lifetime; Get* returns
 /// stable pointers that callers cache once and hammer lock-free forever.
@@ -162,12 +162,6 @@ class Registry {
   /// one sample line per instance, histograms as cumulative le buckets
   /// (empty buckets elided; +Inf, _sum, _count always present).
   std::string RenderPrometheus() const;
-
-  /// Appends comma-separated `"name":value` / `"name{a=b}":{...}` JSON
-  /// entries (no surrounding braces) so multiple registries can be stitched
-  /// into one /statsz object. Histograms render as
-  /// {"count":N,"sum":S,"p50":…,"p95":…,"p99":…} in the scaled unit.
-  void AppendJsonEntries(std::string* out, bool* first) const;
 
  private:
   template <typename T>

@@ -1,10 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -514,57 +512,6 @@ KeywordSearchEngine::SearchResult KeywordSearchEngine::SearchImpl(
   result.total_millis = total.ElapsedMillis();
   RecordSearchMetrics(result);
   return result;
-}
-
-std::vector<KeywordSearchEngine::SearchResult>
-KeywordSearchEngine::SearchBatch(std::span<const KeywordQuery> queries,
-                                 std::size_t num_threads) const {
-  std::vector<SearchResult> results(queries.size());
-  if (queries.empty()) return results;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, queries.size());
-
-  auto run_one = [this, queries, &results](std::size_t i) {
-    results[i] = Search(queries[i]);
-  };
-  if (num_threads <= 1) {
-    for (std::size_t i = 0; i < queries.size(); ++i) run_one(i);
-    return results;
-  }
-
-  // Dynamic scheduling over an atomic ticket: queries vary wildly in cost
-  // (cache hits vs cold augmentations, early-terminating vs exhaustive
-  // explorations), so static partitioning would straggle.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (;;) {
-      // Drain fast once any query failed: the batch is going to rethrow
-      // and drop all results, so serving the remainder is wasted work.
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= queries.size()) return;
-      try {
-        run_one(i);
-      } catch (...) {
-        // An exception escaping a std::thread entry would std::terminate
-        // the whole process; capture it and rethrow like the serial path.
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error == nullptr) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-  return results;
 }
 
 Result<query::EvalResult> KeywordSearchEngine::Answers(

@@ -40,7 +40,6 @@ namespace grasp::core {
 /// per-query mutable state (exploration scratch, augmentation overlays)
 /// comes from lock-free free-list pools over the shared immutable indexes,
 /// and repeated keyword-element sets share one cached augmentation.
-/// SearchBatch() spreads a whole workload across a worker pool.
 class KeywordSearchEngine {
  public:
   struct Options {
@@ -109,8 +108,8 @@ class KeywordSearchEngine {
     /// cancellation, or a safety-valve budget — so `queries` is a verified
     /// prefix of the full ranking (every entry is exactly what the
     /// unbounded run would have returned in that position), possibly
-    /// shorter than k and possibly empty. Never silently dropped:
-    /// SearchBatch propagates it per entry.
+    /// shorter than k and possibly empty. Never silently dropped: the
+    /// serving layer and the HTTP front-end propagate it per request.
     bool degraded = false;
     ExplorationStats exploration_stats;
     std::vector<std::size_t> matches_per_keyword;
@@ -122,7 +121,7 @@ class KeywordSearchEngine {
     double total_millis = 0.0;
   };
 
-  /// One entry of a SearchBatch workload.
+  /// One keyword query with its own k, scope and control.
   struct KeywordQuery {
     std::vector<std::string> keywords;
     /// 0 falls back to the engine's options.exploration.k.
@@ -241,23 +240,14 @@ class KeywordSearchEngine {
   }
 
   /// Scope-aware entry point: runs `query` with its predicate scope (and
-  /// its per-query k). SearchBatch serves every workload entry through
-  /// this, so scoped and unscoped queries mix freely in one batch.
+  /// its per-query k). Scoped and unscoped queries mix freely on one
+  /// engine, from any number of threads.
   SearchResult Search(const KeywordQuery& query) const {
     const std::size_t k = query.k > 0 ? query.k : options_.exploration.k;
     ExplorationOptions exploration = options_.exploration;
     exploration.control = query.control;
     return SearchImpl(query.keywords, k, exploration, query.predicate_scope);
   }
-
-  /// Serves `queries` on `num_threads` workers (0 = hardware concurrency)
-  /// spreading independent queries over the shared immutable summary;
-  /// results[i] corresponds to queries[i] and is byte-identical to a serial
-  /// Search(queries[i]). The per-thread state comes from the engine's
-  /// scratch/overlay pools, so a steady-state batch allocates per result,
-  /// not per query step.
-  std::vector<SearchResult> SearchBatch(std::span<const KeywordQuery> queries,
-                                        std::size_t num_threads = 0) const;
 
   /// Evaluates a computed query against the store ("query processing" in
   /// Fig. 5): the step delegated to the underlying database engine.

@@ -155,14 +155,6 @@ void HttpServer::InitMetrics() {
                              latency_help, {{"class", "5xx"}}, kMicros);
 }
 
-std::vector<const metrics::Registry*> HttpServer::MetricRegistries() const {
-  std::vector<const metrics::Registry*> registries{metrics_};
-  if (query_server_->metrics_registry() != metrics_) {
-    registries.push_back(query_server_->metrics_registry());
-  }
-  return registries;
-}
-
 HttpServer::~HttpServer() {
   if (loop_thread_.joinable()) {
     Stop();
@@ -539,13 +531,6 @@ void HttpServer::HandleParsedRequest(Connection* conn) {
     StartWriting(conn, response, keep_alive);
     return;
   }
-  if (target.path == "/statsz") {
-    HttpResponse response;
-    response.headers.emplace_back("Content-Type", "application/json");
-    response.body = BuildStatszBody();
-    StartWriting(conn, response, keep_alive);
-    return;
-  }
   if (target.path == "/metrics") {
     HttpResponse response;
     response.headers.emplace_back("Content-Type",
@@ -866,23 +851,12 @@ std::string HttpServer::BuildSearchBody(
   return body;
 }
 
-std::string HttpServer::BuildStatszBody() {
-  // Every registered instrument, rendered into one unbounded JSON object —
-  // no fixed buffer to truncate mid-object, and a counter added anywhere in
-  // the stack shows up here without this function changing.
-  std::string body = "{";
-  bool first = true;
-  for (const metrics::Registry* registry : MetricRegistries()) {
-    registry->AppendJsonEntries(&body, &first);
-  }
-  body += "}\n";
-  return body;
-}
-
 std::string HttpServer::BuildMetricsBody() {
-  std::string body;
-  for (const metrics::Registry* registry : MetricRegistries()) {
-    body += registry->RenderPrometheus();
+  // This server's registry and the QueryServer's, once when the tiers share
+  // one (the wired-up default).
+  std::string body = metrics_->RenderPrometheus();
+  if (query_server_->metrics_registry() != metrics_) {
+    body += query_server_->metrics_registry()->RenderPrometheus();
   }
   return body;
 }

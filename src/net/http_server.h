@@ -23,7 +23,6 @@ namespace grasp::net {
 ///
 /// Wire protocol:
 ///   GET  /healthz                          -> 200 "ok"
-///   GET  /statsz                           -> 200 JSON counters
 ///   GET  /metrics                          -> 200 Prometheus text format
 ///   GET  /debug/slowz                      -> 200 JSON N-slowest queries
 ///   GET  /search?q=kw+kw[&k=N][&scope=p,p] -> 200 JSON ranked queries
@@ -164,12 +163,7 @@ class HttpServer {
   /// Registers every `grasp_http_*` instrument; called from the
   /// constructor.
   void InitMetrics();
-  /// The distinct registries feeding /metrics and /statsz: this server's
-  /// and the QueryServer's (one element when the tiers share, which is the
-  /// wired-up default).
-  std::vector<const metrics::Registry*> MetricRegistries() const;
   std::string BuildSearchBody(const serve::QueryServer::Response& response);
-  std::string BuildStatszBody();
   std::string BuildMetricsBody();
 
   serve::QueryServer* query_server_;

@@ -161,7 +161,7 @@ class QueryServer {
   const DeadlineCalibrator& calibrator() const { return calibrator_; }
 
   /// The registry this server records into (after fallback resolution);
-  /// never nullptr. Front-ends expose it at /metrics and /statsz.
+  /// never nullptr. Front-ends expose it at /metrics.
   metrics::Registry* metrics_registry() const { return metrics_; }
 
   /// The N slowest queries served so far (the /debug/slowz source).

@@ -23,6 +23,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "concurrent_search.h"
 #include "core/completion_bound.h"
 #include "core/cost_model.h"
 #include "core/engine.h"
@@ -385,8 +386,8 @@ void ExpectSameRanking(const SearchResult& actual, const SearchResult& want,
   }
 }
 
-/// One long-lived engine runs `pool` forward, backward and as a 4-thread
-/// batch; each answer must equal a fresh engine's for that query alone.
+/// One long-lived engine runs `pool` forward, backward and on 4 threads;
+/// each answer must equal a fresh engine's for that query alone.
 void ExpectNoCarryOver(const grasp::testing::Dataset& data,
                        const std::vector<KeywordQuery>& pool,
                        const std::string& tag) {
@@ -404,11 +405,10 @@ void ExpectNoCarryOver(const grasp::testing::Dataset& data,
     ExpectSameRanking(shared.Search(pool[i]), fresh[i],
                       StrFormat("%s backward #%zu", tag.c_str(), i));
   }
-  const auto batch = shared.SearchBatch(pool, 4);
-  ASSERT_EQ(batch.size(), pool.size());
+  const auto concurrent = grasp::testing::SearchOnThreads(shared, pool, 4);
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    ExpectSameRanking(batch[i], fresh[i],
-                      StrFormat("%s batch #%zu", tag.c_str(), i));
+    ExpectSameRanking(concurrent[i], fresh[i],
+                      StrFormat("%s concurrent #%zu", tag.c_str(), i));
   }
 }
 

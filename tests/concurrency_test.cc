@@ -1,6 +1,6 @@
 // Concurrent-serving coverage: the lock-free free-list pool, the
 // augmentation cache (hit / miss / eviction paths), and the engine's
-// thread-safe Search / SearchBatch. The stress tests pin concurrent results
+// thread-safe Search. The stress tests pin concurrent results
 // byte-identical to serial ones — the concurrency layers must never change
 // what a query returns, only how much it costs to serve. Runs under the
 // ASan/UBSan job and the TSan job (GRASP_SANITIZE_THREAD) in CI.
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/free_list_pool.h"
+#include "concurrent_search.h"
 #include "core/engine.h"
 #include "summary/augmentation_cache.h"
 #include "summary/augmented_graph.h"
@@ -265,23 +266,22 @@ class ConcurrencyTest : public ::testing::Test {
   grasp::testing::Dataset dataset_;
 };
 
-TEST_F(ConcurrencyTest, SearchBatchMatchesSerialSearch) {
+TEST_F(ConcurrencyTest, ConcurrentSearchMatchesSerialSearch) {
   KeywordSearchEngine engine(dataset_.store, dataset_.dictionary);
   const auto workload = MixedWorkload();
 
   std::vector<SearchResult> serial;
   for (const auto& q : workload) serial.push_back(engine.Search(q.keywords, q.k));
 
-  const auto batch = engine.SearchBatch(workload, 4);
-  ASSERT_EQ(batch.size(), workload.size());
+  const auto concurrent = grasp::testing::SearchOnThreads(engine, workload, 4);
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    ExpectSameResults(batch[i], serial[i],
-                      "batch query " + std::to_string(i));
+    ExpectSameResults(concurrent[i], serial[i],
+                      "concurrent query " + std::to_string(i));
   }
 }
 
-TEST_F(ConcurrencyTest, ScopedSearchBatchMatchesSerialSearch) {
-  // Scoped and unscoped queries mixed in one batch: concurrent workers
+TEST_F(ConcurrencyTest, ScopedConcurrentSearchMatchesSerialSearch) {
+  // Scoped and unscoped queries mixed on one engine: concurrent threads
   // share the scope-mask cache (first resolution races are benign — equal
   // keys build equal masks) and every result must equal its serial run.
   KeywordSearchEngine engine(dataset_.store, dataset_.dictionary);
@@ -296,27 +296,15 @@ TEST_F(ConcurrencyTest, ScopedSearchBatchMatchesSerialSearch) {
   for (const auto& q : workload) serial.push_back(engine.Search(q));
 
   for (int round = 0; round < 3; ++round) {
-    const auto batch = engine.SearchBatch(workload, 4);
-    ASSERT_EQ(batch.size(), workload.size());
+    const auto concurrent =
+        grasp::testing::SearchOnThreads(engine, workload, 4);
     for (std::size_t i = 0; i < workload.size(); ++i) {
-      ExpectSameResults(batch[i], serial[i],
-                        "scoped batch round " + std::to_string(round) +
+      ExpectSameResults(concurrent[i], serial[i],
+                        "scoped concurrent round " + std::to_string(round) +
                             " query " + std::to_string(i));
     }
   }
   EXPECT_GT(engine.index_stats().scope_cache_bytes, 0u);
-}
-
-TEST_F(ConcurrencyTest, SearchBatchSingleThreadAndEmptyInput) {
-  KeywordSearchEngine engine(dataset_.store, dataset_.dictionary);
-  EXPECT_TRUE(engine.SearchBatch({}, 4).empty());
-  const auto workload = MixedWorkload();
-  const auto one_thread = engine.SearchBatch(workload, 1);
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    ExpectSameResults(one_thread[i],
-                      engine.Search(workload[i].keywords, workload[i].k),
-                      "single-thread batch query " + std::to_string(i));
-  }
 }
 
 /// N threads hammer one engine with the mixed workload; every result must

@@ -4,8 +4,8 @@
 // position — with the stop reason reported in ExplorationStats, never a
 // silent hole. Flat and reference explorers must agree byte for byte on
 // every stopped run (pre-cancelled/pre-expired controls make the stop pop
-// deterministic), and the engine/SearchBatch layers must propagate the
-// degradation per entry.
+// deterministic), and the engine must propagate the degradation per query,
+// also when several threads search it at once.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrent_search.h"
 #include "core/engine.h"
 #include "core/exploration.h"
 #include "core/exploration_reference.h"
@@ -306,7 +307,7 @@ TEST(PartialResultTest, EngineReportsDegradedPrefixWithOkStatus) {
   EXPECT_TRUE(stopped.exploration_stats.cancelled);
 }
 
-TEST(PartialResultTest, SearchBatchPropagatesDegradationPerEntry) {
+TEST(PartialResultTest, ConcurrentSearchPropagatesDegradationPerEntry) {
   grasp::testing::Dataset dataset = grasp::testing::MakeFigure1Dataset();
   KeywordSearchEngine engine(dataset.store, dataset.dictionary);
 
@@ -314,15 +315,14 @@ TEST(PartialResultTest, SearchBatchPropagatesDegradationPerEntry) {
   cancelled.RequestCancel();
 
   // Entries 0/2 run uncontrolled, entry 1 is pre-cancelled: statuses must
-  // stay per-entry, not leak across the batch.
+  // stay per-entry, not leak across threads.
   std::vector<KeywordSearchEngine::KeywordQuery> workload(3);
   workload[0].keywords = {"publication", "aifb"};
   workload[1].keywords = {"publication", "aifb"};
   workload[1].control = &cancelled;
   workload[2].keywords = {"thanh", "cimiano"};
 
-  const auto results = engine.SearchBatch(workload, 2);
-  ASSERT_EQ(results.size(), 3u);
+  const auto results = grasp::testing::SearchOnThreads(engine, workload, 2);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_FALSE(results[0].degraded);
   EXPECT_EQ(results[1].status.code(), StatusCode::kCancelled);
@@ -340,7 +340,7 @@ TEST(PartialResultTest, SearchBatchPropagatesDegradationPerEntry) {
   }
 }
 
-TEST(PartialResultTest, CancelMidSearchBatchTerminatesWithoutHanging) {
+TEST(PartialResultTest, CancelMidConcurrentSearchTerminatesWithoutHanging) {
   grasp::testing::Dataset dataset = grasp::testing::MakeRandomDataset(
       5, 6, 200, 500, 8, 200, 20);
   KeywordSearchEngine engine(dataset.store, dataset.dictionary);
@@ -354,7 +354,7 @@ TEST(PartialResultTest, CancelMidSearchBatchTerminatesWithoutHanging) {
     workload[i].k = 5;
   }
 
-  // Cancel from another thread while the batch runs: every entry must
+  // Cancel from another thread while the searches run: every entry must
   // terminate (possibly complete, possibly cancelled — timing decides), and
   // every cancelled entry must say so. The real assertion is that this
   // returns at all and stays race-clean under TSan.
@@ -362,10 +362,9 @@ TEST(PartialResultTest, CancelMidSearchBatchTerminatesWithoutHanging) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     control.RequestCancel();
   });
-  const auto results = engine.SearchBatch(workload, 4);
+  const auto results = grasp::testing::SearchOnThreads(engine, workload, 4);
   canceller.join();
 
-  ASSERT_EQ(results.size(), workload.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].exploration_stats.cancelled) {
       EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled) << i;

@@ -3,7 +3,7 @@
 // top-k queries (canonical strings), same costs, same subgraph structure
 // keys, same exploration counters — over the paper's running example
 // (Fig. 1), a LUBM slice, TAP-style generated data, seeded random datasets
-// and randomized keyword sets, serially and under SearchBatch concurrency.
+// and randomized keyword sets, serially and from several threads at once.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "concurrent_search.h"
 #include "core/engine.h"
 #include "datagen/lubm_gen.h"
 #include "datagen/tap_gen.h"
@@ -184,14 +185,14 @@ TEST(SnapshotWarmStartTest, ScopedQueriesMatchColdByteIdentical) {
   }
 }
 
-TEST(SnapshotWarmStartTest, SearchBatchConcurrencyMatchesColdSerial) {
+TEST(SnapshotWarmStartTest, ConcurrentSearchMatchesColdSerial) {
   Dataset dataset;
   datagen::LubmOptions options;
   options.num_universities = 1;
   datagen::GenerateLubm(options, &dataset.dictionary, &dataset.store);
   dataset.store.Finalize();
   KeywordSearchEngine cold(dataset.store, dataset.dictionary);
-  std::unique_ptr<KeywordSearchEngine> warm = Reopen(cold, "batch");
+  std::unique_ptr<KeywordSearchEngine> warm = Reopen(cold, "concurrent");
   ASSERT_NE(warm, nullptr);
 
   std::vector<KeywordSearchEngine::KeywordQuery> queries;
@@ -204,15 +205,11 @@ TEST(SnapshotWarmStartTest, SearchBatchConcurrencyMatchesColdSerial) {
   for (int round = 0; round < 3; ++round) {
     for (const auto& s : sets) queries.push_back({s, 4});
   }
-  const auto warm_results =
-      warm->SearchBatch(std::span<const KeywordSearchEngine::KeywordQuery>(
-                            queries.data(), queries.size()),
-                        4);
-  ASSERT_EQ(warm_results.size(), queries.size());
+  const auto warm_results = grasp::testing::SearchOnThreads(*warm, queries, 4);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto cold_result = cold.Search(queries[i].keywords, queries[i].k);
     ExpectSameResult(cold_result, warm_results[i],
-                     StrFormat("batch query %zu", i));
+                     StrFormat("concurrent query %zu", i));
   }
 }
 

@@ -1,32 +1,25 @@
-// Load generator for the serving stack, in two modes sharing one workload
-// and one report format:
+// HTTP load generator for a running grasp_serve. It replays the DBLP
+// performance workload at a target QPS with open-loop arrivals: requests
+// fire on schedule whether or not earlier ones finished, so the arrival
+// process does not secretly back off under overload, which is exactly the
+// regime admission control exists for. Each request rides its own
+// connection (connection churn is part of the test). Chaos flags turn it
+// into a hostile client: --chaos-disconnect kills connections mid-request
+// or between request and response, --chaos-slow-read drains responses a
+// few bytes at a time. A correct server sheds/cancels/disconnects around
+// all of it without crashing or leaking.
 //
-//  - In-process (default): replays the DBLP performance workload straight
-//    into a QueryServer at a target QPS with open-loop arrivals (requests
-//    fire on schedule whether or not earlier ones finished — the arrival
-//    process does not secretly back off under overload, which is exactly
-//    the regime admission control exists for).
-//
-//  - Network (--server=HOST:PORT): the same open-loop arrivals over real
-//    TCP against a running grasp_serve, one connection per request
-//    (connection churn is part of the test). Chaos flags turn it into a
-//    hostile client: --chaos-disconnect kills connections mid-request or
-//    between request and response, --chaos-slow-read drains responses a
-//    few bytes at a time. A correct server sheds/cancels/disconnects
-//    around all of it without crashing or leaking.
-//
-//   grasp_loadgen --qps=200 --requests=400 --deadline-ms=20
-//   grasp_loadgen --server=127.0.0.1:8080 --qps=500 --requests=1000 \
+//   grasp_loadgen --server=HOST:PORT --qps=2000 --requests=200
+//       --deadline-ms=20 --assert-shed-min=0.01
+//   grasp_loadgen --server=HOST:PORT --qps=500 --requests=1000
 //       --chaos-disconnect=0.2 --chaos-slow-read=0.1 --assert-shed-min=0.01
-//   grasp_loadgen --server=... --ramp=100:2000:5 --requests=200
+//   grasp_loadgen --server=HOST:PORT --ramp=100:2000:5 --requests=200
 //
-// Both modes report per-status counts (network: real HTTP codes;
-// in-process: the HTTP-equivalent mapping 200/429/504/499) and p50/p95/p99
-// end-to-end latency. "unanswered" counts requests that were fully sent,
-// not chaos-killed, and got zero response bytes — after a graceful drain
-// it must be zero, which the CI smoke job asserts. --json writes
-// google-benchmark-shaped entries; the --assert-* flags turn the binary
-// into a nonzero-exit smoke test.
+// It reports per-status counts and p50/p95/p99 end-to-end latency.
+// "unanswered" counts requests that were fully sent, not chaos-killed, and
+// got zero response bytes — after a graceful drain it must be zero, which
+// the CI smoke job asserts. The --assert-* flags turn the binary into a
+// nonzero-exit smoke test.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -38,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <optional>
 #include <random>
@@ -46,25 +38,16 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "core/engine.h"
 #include "datagen/workload.h"
 #include "net/socket.h"
-#include "serve/admission.h"
 
 namespace {
 
-using grasp::core::KeywordSearchEngine;
-using grasp::serve::QueryServer;
-
-/// Ceilings of the integer flags. Workers and queue capacity match
-/// grasp_serve's; k matches the clamp the HTTP front-end applies to `k=`.
-/// Every network-mode request holds a thread until its wave ends, so the
-/// request count is bounded too.
-constexpr std::uint64_t kMaxWorkersPerLane = 256;
-constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+/// Ceilings of the integer flags. k matches the clamp the HTTP front-end
+/// applies to `k=`. Every request holds a thread until its wave ends, so
+/// the request count is bounded too.
 constexpr std::uint64_t kMaxK = 1000;
 constexpr std::uint64_t kMaxRequests = 1'000'000;
 
@@ -73,22 +56,17 @@ struct Args {
   std::size_t requests = 200;
   double deadline_ms = 50.0;
   std::size_t k = 5;
-  std::size_t fast_workers = 1;
-  std::size_t deep_workers = 2;
-  std::size_t queue_capacity = 32;
-  std::string json_path;
   double assert_shed_min = -1.0;    // < 0: no assertion
   double assert_p99_max_ms = -1.0;  // < 0: no assertion
   bool assert_no_unanswered = false;
-  /// Network mode: after the run, scrape the server's /metrics and require
+  /// After the run, scrape the server's /metrics and require
   /// server-observed 2xx p99 <= FACTOR * client-observed p99. The server
   /// measures less than the client (no connect, no wire), so any generous
   /// factor catches a histogram wired to the wrong clock without flaking
   /// on scheduler noise. < 0: scrape still happens, no assertion.
   double assert_server_p99_factor = -1.0;
 
-  // Network mode.
-  std::string server;  // HOST:PORT; empty = in-process
+  std::string server;  // HOST:PORT
   double chaos_disconnect = 0.0;  // P(kill the connection mid-exchange)
   double chaos_slow_read = 0.0;   // P(read the response a trickle at a time)
   double slow_read_delay_ms = 20.0;
@@ -125,18 +103,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->deadline_ms = std::atof(v);
     } else if (const char* v = value("--k=")) {
       if (!parse_uint(v, kMaxK, &args->k)) return false;
-    } else if (const char* v = value("--fast-workers=")) {
-      if (!parse_uint(v, kMaxWorkersPerLane, &args->fast_workers)) {
-        return false;
-      }
-    } else if (const char* v = value("--deep-workers=")) {
-      if (!parse_uint(v, kMaxWorkersPerLane, &args->deep_workers)) {
-        return false;
-      }
-    } else if (const char* v = value("--queue-capacity=")) {
-      if (!parse_uint(v, kMaxSize, &args->queue_capacity)) return false;
-    } else if (const char* v = value("--json=")) {
-      args->json_path = v;
     } else if (const char* v = value("--assert-shed-min=")) {
       args->assert_shed_min = std::atof(v);
     } else if (const char* v = value("--assert-p99-max-ms=")) {
@@ -166,12 +132,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (args->ramp_steps > 0 && args->server.empty()) {
-    std::fprintf(stderr, "--ramp requires --server\n");
-    return false;
-  }
-  if (args->assert_server_p99_factor >= 0.0 && args->server.empty()) {
-    std::fprintf(stderr, "--assert-server-p99-factor requires --server\n");
+  if (args->server.empty()) {
+    std::fprintf(stderr, "--server is required\n");
     return false;
   }
   return args->qps > 0.0 && args->requests > 0;
@@ -184,28 +146,9 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return grasp::metrics::PercentileOfSorted(sorted, p);
 }
 
-/// One google-benchmark-shaped entry; `unit` is "ms" for latencies and "ns"
-/// for dimensionless rates.
-void JsonEntry(std::FILE* f, const char* name, double value, const char* unit,
-               bool last) {
-  std::fprintf(f,
-               "    {\n"
-               "      \"name\": \"%s\",\n"
-               "      \"run_type\": \"iteration\",\n"
-               "      \"iterations\": 1,\n"
-               "      \"real_time\": %.6f,\n"
-               "      \"cpu_time\": %.6f,\n"
-               "      \"time_unit\": \"%s\"\n"
-               "    }%s\n",
-               name, value, value, unit, last ? "" : ",");
-}
-
 // -------------------------------------------------------------- results --
 
-/// One request's outcome, identical across modes. In-process responses are
-/// mapped to their HTTP equivalents (OK->200, kOverloaded->429,
-/// kDeadlineExceeded->504, kCancelled->499 "client closed request") so the
-/// two modes print comparable tables.
+/// One request's outcome.
 struct Outcome {
   enum class Kind {
     kAnswered,       // got an HTTP status line (any code)
@@ -218,7 +161,7 @@ struct Outcome {
   double latency_ms = 0.0;
   bool degraded = false;
   /// Retry hint on a 429, in milliseconds (X-Retry-After-Ms preferred,
-  /// whole-second Retry-After otherwise; in-process: retry_after_millis).
+  /// whole-second Retry-After otherwise).
   /// < 0 = absent or unparsable — a protocol bug under --assert-no-unanswered,
   /// since an open-loop client shed without a usable hint can only guess.
   double retry_hint_ms = -1.0;
@@ -320,14 +263,17 @@ void PrintSummary(const Summary& s) {
   std::printf("latency(2xx) p99  %.2f ms\n", s.p99);
 }
 
-// --------------------------------------------------------- network mode --
+// ------------------------------------------------------------- requests --
 
 bool SplitHostPort(const std::string& server, std::string* host,
                    std::uint16_t* port) {
   const std::size_t colon = server.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= server.size()) return false;
+  if (colon == std::string::npos) return false;
   *host = server.substr(0, colon);
-  *port = static_cast<std::uint16_t>(std::atoi(server.c_str() + colon + 1));
+  // Strict, like grasp_serve's --port: 70000 is an error, not port 4464.
+  const std::optional<std::uint64_t> parsed =
+      grasp::ParseUint(std::string_view(server).substr(colon + 1), 65535);
+  *port = static_cast<std::uint16_t>(parsed.value_or(0));
   return *port != 0;
 }
 
@@ -565,52 +511,6 @@ double ServerPercentileMs(const std::string& body, const std::string& name,
   return -1.0;
 }
 
-// ------------------------------------------------------ in-process mode --
-
-std::vector<Outcome> RunInProcess(const Args& args, QueryServer* server) {
-  const auto workload = grasp::datagen::DblpPerformanceWorkload();
-  const auto start = std::chrono::steady_clock::now();
-  const std::chrono::duration<double> interval(1.0 / args.qps);
-  std::vector<std::future<QueryServer::Response>> futures;
-  futures.reserve(args.requests);
-  for (std::size_t i = 0; i < args.requests; ++i) {
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    interval * static_cast<double>(i)));
-    QueryServer::Request request;
-    request.query.keywords = workload[i % workload.size()].keywords;
-    request.query.k = args.k;
-    request.deadline_millis = args.deadline_ms;
-    futures.push_back(server->Submit(std::move(request)));
-  }
-
-  std::vector<Outcome> outcomes;
-  outcomes.reserve(futures.size());
-  for (auto& f : futures) {
-    const QueryServer::Response response = f.get();
-    Outcome o;
-    o.kind = Outcome::Kind::kAnswered;
-    o.latency_ms = response.total_millis;
-    o.degraded = response.degraded;
-    switch (response.status.code()) {
-      case grasp::StatusCode::kOk: o.status = 200; break;
-      case grasp::StatusCode::kOverloaded:
-        o.status = 429;
-        // The in-process equivalent of the Retry-After headers; 0 marks a
-        // terminal (draining) shed, which the HTTP layer would map to 503.
-        if (response.retry_after_millis > 0.0) {
-          o.retry_hint_ms = response.retry_after_millis;
-        }
-        break;
-      case grasp::StatusCode::kDeadlineExceeded: o.status = 504; break;
-      case grasp::StatusCode::kCancelled: o.status = 499; break;
-      default: o.status = 500; break;
-    }
-    outcomes.push_back(o);
-  }
-  return outcomes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -618,16 +518,18 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(
         stderr,
-        "usage: grasp_loadgen [--qps=N] [--requests=N] [--deadline-ms=MS]\n"
-        "    [--k=N] [--fast-workers=N] [--deep-workers=N] "
-        "[--queue-capacity=N]\n"
-        "    [--json=PATH] [--assert-shed-min=RATE] "
-        "[--assert-p99-max-ms=MS]\n"
-        "    [--assert-no-unanswered] [--assert-server-p99-factor=F]\n"
-        "  network mode:\n"
-        "    --server=HOST:PORT [--chaos-disconnect=P] "
-        "[--chaos-slow-read=P]\n"
-        "    [--slow-read-delay-ms=MS] [--ramp=START_QPS:END_QPS:STEPS]\n");
+        "usage: grasp_loadgen --server=HOST:PORT [--qps=N] [--requests=N]\n"
+        "    [--deadline-ms=MS] [--k=N] [--assert-shed-min=RATE]\n"
+        "    [--assert-p99-max-ms=MS] [--assert-no-unanswered]\n"
+        "    [--assert-server-p99-factor=F] [--chaos-disconnect=P]\n"
+        "    [--chaos-slow-read=P] [--slow-read-delay-ms=MS]\n"
+        "    [--ramp=START_QPS:END_QPS:STEPS]\n");
+    return 2;
+  }
+  std::string host;
+  std::uint16_t port = 0;
+  if (!SplitHostPort(args.server, &host, &port)) {
+    std::fprintf(stderr, "bad --server (want HOST:PORT)\n");
     return 2;
   }
 
@@ -636,129 +538,56 @@ int main(int argc, char** argv) {
   grasp::net::IgnoreSigpipe();
 
   std::vector<Outcome> outcomes;
-  double shed_rate = 0.0;  // 429-equivalent rate over answered requests
-  double deadline_hit_rate = 0.0, degraded_rate = 0.0;
-  double server_p99_ms = -1.0;  // from /metrics; network mode only
-
-  if (!args.server.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!SplitHostPort(args.server, &host, &port)) {
-      std::fprintf(stderr, "bad --server (want HOST:PORT)\n");
-      return 2;
-    }
-    if (args.ramp_steps > 0) {
-      // QPS sweep: where does shedding start, and does p99 stay bounded
-      // past that point? One wave per step, one summary line per wave.
-      std::printf("%10s %8s %8s %8s %8s %10s %10s\n", "qps", "answered",
-                  "s200", "s429", "unansw", "p50_ms", "p99_ms");
-      for (std::size_t step = 0; step < args.ramp_steps; ++step) {
-        const double qps =
-            args.ramp_start + (args.ramp_end - args.ramp_start) *
-                                  static_cast<double>(step) /
-                                  static_cast<double>(args.ramp_steps - 1);
-        std::vector<Outcome> wave =
-            RunNetworkWave(args, host, port, qps, step * 1'000'000);
-        const Summary s = Summarize(wave);
-        std::printf("%10.0f %8zu %8zu %8zu %8zu %10.2f %10.2f\n", qps,
-                    s.answered,
-                    static_cast<std::size_t>(s.rate(200) *
-                                             static_cast<double>(s.answered)),
-                    static_cast<std::size_t>(s.rate(429) *
-                                             static_cast<double>(s.answered)),
-                    s.unanswered, s.p50, s.p99);
-        outcomes.insert(outcomes.end(), wave.begin(), wave.end());
-      }
-    } else {
-      outcomes = RunNetworkWave(args, host, port, args.qps, 1);
-    }
-    const Summary s = Summarize(outcomes);
-    if (args.ramp_steps == 0) PrintSummary(s);
-    shed_rate = s.rate(429);
-    degraded_rate =
-        s.answered > 0 ? static_cast<double>(s.degraded) /
-                             static_cast<double>(s.answered)
-                       : 0.0;
-
-    // Scrape the server's own view of the run. The histogram reports the
-    // upper edge of the rank bucket (<= 25% wide), so the comparison below
-    // is conservative in the server's favor.
-    const std::string metrics_body = FetchBody(host, port, "/metrics");
-    if (metrics_body.empty()) {
-      std::fprintf(stderr, "note: /metrics scrape failed\n");
-    } else {
-      server_p99_ms =
-          ServerPercentileMs(metrics_body, "grasp_http_request_duration_seconds",
-                             "class=\"2xx\"", 99.0);
-      if (server_p99_ms >= 0.0) {
-        std::printf("server   2xx p99  %.2f ms (from /metrics)\n",
-                    server_p99_ms);
-      }
+  if (args.ramp_steps > 0) {
+    // QPS sweep: where does shedding start, and does p99 stay bounded past
+    // that point? One wave per step, one summary line per wave.
+    std::printf("%10s %8s %8s %8s %8s %10s %10s\n", "qps", "answered", "s200",
+                "s429", "unansw", "p50_ms", "p99_ms");
+    for (std::size_t step = 0; step < args.ramp_steps; ++step) {
+      const double qps =
+          args.ramp_start + (args.ramp_end - args.ramp_start) *
+                                static_cast<double>(step) /
+                                static_cast<double>(args.ramp_steps - 1);
+      std::vector<Outcome> wave =
+          RunNetworkWave(args, host, port, qps, step * 1'000'000);
+      const Summary s = Summarize(wave);
+      std::printf("%10.0f %8zu %8zu %8zu %8zu %10.2f %10.2f\n", qps,
+                  s.answered,
+                  static_cast<std::size_t>(s.rate(200) *
+                                           static_cast<double>(s.answered)),
+                  static_cast<std::size_t>(s.rate(429) *
+                                           static_cast<double>(s.answered)),
+                  s.unanswered, s.p50, s.p99);
+      outcomes.insert(outcomes.end(), wave.begin(), wave.end());
     }
   } else {
-    grasp::bench::Dataset dblp = grasp::bench::MakeDblp();
-    KeywordSearchEngine engine(dblp.store, dblp.dictionary);
-    QueryServer::Options server_options;
-    server_options.fast_workers = args.fast_workers;
-    server_options.deep_workers = args.deep_workers;
-    server_options.queue_capacity = args.queue_capacity;
-    QueryServer server(engine, server_options);
-    outcomes = RunInProcess(args, &server);
-    server.Shutdown();
-
-    const Summary s = Summarize(outcomes);
-    PrintSummary(s);
-    const QueryServer::Stats stats = server.stats();
-    shed_rate = stats.submitted > 0
-                    ? static_cast<double>(stats.shed) /
-                          static_cast<double>(stats.submitted)
-                    : 0.0;
-    deadline_hit_rate =
-        stats.completed > 0 ? static_cast<double>(stats.deadline_hit) /
-                                  static_cast<double>(stats.completed)
-                            : 0.0;
-    degraded_rate =
-        stats.completed > 0 ? static_cast<double>(stats.degraded) /
-                                  static_cast<double>(stats.completed)
-                            : 0.0;
-    std::printf("deadline-hit rate %.1f%%\n", deadline_hit_rate * 100.0);
-    std::printf("pops/ms estimate  %.1f\n", server.calibrator().pops_per_ms());
+    outcomes = RunNetworkWave(args, host, port, args.qps, 1);
   }
-
   const Summary summary = Summarize(outcomes);
-  if (!args.json_path.empty()) {
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
+  if (args.ramp_steps == 0) PrintSummary(summary);
+
+  // Scrape the server's own view of the run. The histogram reports the
+  // upper edge of the rank bucket (<= 25% wide), so the comparison below is
+  // conservative in the server's favor.
+  double server_p99_ms = -1.0;
+  const std::string metrics_body = FetchBody(host, port, "/metrics");
+  if (metrics_body.empty()) {
+    std::fprintf(stderr, "note: /metrics scrape failed\n");
+  } else {
+    server_p99_ms =
+        ServerPercentileMs(metrics_body, "grasp_http_request_duration_seconds",
+                           "class=\"2xx\"", 99.0);
+    if (server_p99_ms >= 0.0) {
+      std::printf("server   2xx p99  %.2f ms (from /metrics)\n",
+                  server_p99_ms);
     }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"context\": {\n"
-                 "    \"executable\": \"grasp_loadgen\",\n"
-                 "    \"mode\": \"%s\",\n"
-                 "    \"qps\": %.1f,\n"
-                 "    \"requests\": %zu,\n"
-                 "    \"deadline_ms\": %.1f\n"
-                 "  },\n"
-                 "  \"benchmarks\": [\n",
-                 args.server.empty() ? "inprocess" : "network", args.qps,
-                 args.requests, args.deadline_ms);
-    JsonEntry(f, "LG_ServeLatency/p50", summary.p50, "ms", false);
-    JsonEntry(f, "LG_ServeLatency/p95", summary.p95, "ms", false);
-    JsonEntry(f, "LG_ServeLatency/p99", summary.p99, "ms", false);
-    JsonEntry(f, "LG_ShedRate", shed_rate, "ns", false);
-    JsonEntry(f, "LG_DeadlineHitRate", deadline_hit_rate, "ns", false);
-    JsonEntry(f, "LG_DegradedRate", degraded_rate, "ns", false);
-    JsonEntry(f, "LG_ServerP99", std::max(server_p99_ms, 0.0), "ms", true);
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
   }
 
   // Smoke assertions: under deliberate overload the server must shed (not
   // collapse), completed latency must stay bounded, and — the drain
   // invariant — every fully-sent request must get an answer.
   int rc = 0;
+  const double shed_rate = summary.rate(429);
   if (args.assert_shed_min >= 0.0 && shed_rate < args.assert_shed_min) {
     std::fprintf(stderr, "ASSERT FAILED: shed rate %.4f < %.4f\n", shed_rate,
                  args.assert_shed_min);

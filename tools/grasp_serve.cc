@@ -213,9 +213,9 @@ int main(int argc, char** argv) {
   grasp::bench::Dataset dataset;
   if (!LoadDataset(args, &dataset)) return 1;
 
-  // One registry spans every tier, so /metrics and /statsz expose the
-  // engine's per-stage histograms, the QueryServer's queue/service/slack
-  // histograms, and the HTTP front-end's wire counters side by side.
+  // One registry spans every tier, so /metrics exposes the engine's
+  // per-stage histograms, the QueryServer's queue/service/slack histograms,
+  // and the HTTP front-end's wire counters side by side.
   grasp::metrics::Registry registry;
 
   KeywordSearchEngine::Options engine_options;
