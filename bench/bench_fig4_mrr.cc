@@ -25,7 +25,7 @@ double ReciprocalRank(const KeywordSearchEngine::SearchResult& result,
                       const grasp::query::ConjunctiveQuery& gold) {
   const std::string gold_canonical = gold.CanonicalString();
   for (std::size_t i = 0; i < result.queries.size(); ++i) {
-    if (result.queries[i].query.CanonicalString() == gold_canonical) {
+    if (result.queries[i].canonical == gold_canonical) {
       return 1.0 / static_cast<double>(i + 1);
     }
   }

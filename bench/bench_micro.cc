@@ -22,8 +22,10 @@
 #include "core/exploration_reference.h"
 #include "datagen/dblp_gen.h"
 #include "datagen/tap_gen.h"
+#include "datagen/workload.h"
 #include "graph/edge_filter.h"
 #include "keyword/keyword_index.h"
+#include "query/conjunctive_query.h"
 #include "rdf/data_graph.h"
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
@@ -678,6 +680,50 @@ BENCHMARK(BM_FilteredExplorationSweepMaskBuild)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024);
+
+// ----------------------------------------------------- canonical query form --
+// Per-call cost of ConjunctiveQuery::CanonicalString, the distinctness key
+// Search computes for every mapped subgraph (Sec. VIII), on the queries
+// Search maps for the DBLP Fig. 4/5 workloads, by variable count.
+
+const std::vector<grasp::query::ConjunctiveQuery>& DblpMappedQueries(
+    std::size_t num_variables) {
+  static const auto* by_count = [] {
+    auto* out =
+        new std::map<std::size_t, std::vector<grasp::query::ConjunctiveQuery>>;
+    DblpFixture& f = Fixture();
+    const grasp::core::KeywordSearchEngine engine(f.store, f.dictionary);
+    for (const auto& workload : {grasp::datagen::DblpEffectivenessWorkload(),
+                                 grasp::datagen::DblpPerformanceWorkload()}) {
+      for (const auto& wq : workload) {
+        for (auto& ranked : engine.Search(wq.keywords, 10).queries) {
+          (*out)[ranked.query.num_variables()].push_back(
+              std::move(ranked.query));
+        }
+      }
+    }
+    return out;
+  }();
+  static const std::vector<grasp::query::ConjunctiveQuery> kNone;
+  const auto it = by_count->find(num_variables);
+  return it == by_count->end() ? kNone : it->second;
+}
+
+void BM_CanonicalString(benchmark::State& state) {
+  const auto& queries =
+      DblpMappedQueries(static_cast<std::size_t>(state.range(0)));
+  if (queries.empty()) {
+    state.SkipWithError("no mapped query with this many variables");
+    return;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(queries[i].CanonicalString());
+    if (++i == queries.size()) i = 0;
+  }
+  state.counters["queries"] = static_cast<double>(queries.size());
+}
+BENCHMARK(BM_CanonicalString)->ArgName("vars")->DenseRange(1, 4);
 
 void BM_TopKExploration(benchmark::State& state) {
   DblpFixture& f = Fixture();

@@ -1,6 +1,7 @@
 #ifndef GRASP_COMMON_FILTER_OP_H_
 #define GRASP_COMMON_FILTER_OP_H_
 
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -60,7 +61,8 @@ struct FilterSpec {
 
 /// Recognizes operator-prefixed numeric keywords: `>2000`, `>=10`,
 /// `<1995.5`, `<=0`, `!=3`. Whitespace between the operator and the number
-/// is allowed. Returns nullopt for everything else (plain keywords).
+/// is allowed. Returns nullopt for everything else (plain keywords), and
+/// for values that are not finite.
 inline std::optional<FilterSpec> ParseFilterKeyword(std::string_view keyword) {
   FilterOp op;
   std::size_t skip = 0;
@@ -90,6 +92,7 @@ inline std::optional<FilterSpec> ParseFilterKeyword(std::string_view keyword) {
     if (*end != ' ' && *end != '\t') return std::nullopt;  // trailing junk
     ++end;
   }
+  if (!std::isfinite(value)) return std::nullopt;  // ">inf", ">nan", ">1e999"
   return FilterSpec{op, value};
 }
 

@@ -1,7 +1,11 @@
 #include "query/conjunctive_query.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "rdf/ntriples.h"
@@ -28,20 +32,126 @@ std::string RenderTermShort(const QueryTerm& t,
   return std::string(rdf::IriLocalName(dictionary.text(t.term)));
 }
 
-std::string RenderTermCanonical(const QueryTerm& t,
-                                const std::vector<VarId>& rank_of_var) {
-  if (t.is_variable) return StrFormat("v%u", rank_of_var[t.var]);
-  return StrFormat("c%u", t.term);
+/// Renders the filter value in the shortest fixed notation that reads back
+/// as the same double ("2000", "19.5", "1234567", "0.1234567"), so distinct
+/// values never share a canonical string and ToSparql's output reparses
+/// (the SPARQL number token has no exponent).
+std::string RenderFilterValue(double value) {
+  // The longest fixed rendering is a negative subnormal: "-0." + 323 zeros
+  // + up to 17 significant digits.
+  char buf[400];
+  const auto result =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
+  return std::string(buf, result.ptr);
 }
 
-}  // namespace
+void AppendUint(std::string* out, std::uint64_t value) {
+  char buf[20];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
-namespace {
+/// The canonical fragments of a query under one variable labeling: one per
+/// atom ("<predicate>|<term>|<term>") and one per filter
+/// ("F|v<rank>|<op>|<value>"), stored back to back in `text`. A constant
+/// renders as c<term id>, a variable as v<rank>; `slots` holds the position
+/// of each variable occurrence's first rank digit.
+struct CanonicalFragments {
+  struct Slot {
+    std::uint32_t pos;
+    VarId var;
+  };
 
-/// Renders the filter value without trailing zeros ("2000", "19.5").
-std::string RenderFilterValue(double value) {
-  std::string text = StrFormat("%g", value);
-  return text;
+  std::string text;
+  std::vector<std::uint32_t> ends;  // fragment i ends at text[ends[i]]
+  std::vector<Slot> slots;
+
+  std::size_t size() const { return ends.size(); }
+  std::string_view operator[](std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::string_view(text.data() + begin, ends[i] - begin);
+  }
+};
+
+CanonicalFragments RenderFragments(const std::vector<Atom>& atoms,
+                                   const std::vector<FilterCondition>& filters,
+                                   const std::vector<VarId>& rank_of_var) {
+  CanonicalFragments f;
+  auto term = [&](const QueryTerm& t) {
+    if (t.is_variable) {
+      f.text.push_back('v');
+      f.slots.push_back({static_cast<std::uint32_t>(f.text.size()), t.var});
+      AppendUint(&f.text, rank_of_var[t.var]);
+    } else {
+      f.text.push_back('c');
+      AppendUint(&f.text, t.term);
+    }
+  };
+  for (const Atom& a : atoms) {
+    AppendUint(&f.text, a.predicate);
+    f.text.push_back('|');
+    term(a.subject);
+    f.text.push_back('|');
+    term(a.object);
+    f.ends.push_back(static_cast<std::uint32_t>(f.text.size()));
+  }
+  for (const FilterCondition& filter : filters) {
+    f.text += "F|";
+    term(QueryTerm::Variable(filter.var));
+    f.text.push_back('|');
+    f.text += FilterOpSymbol(filter.op);
+    f.text.push_back('|');
+    f.text += RenderFilterValue(filter.value);
+    f.ends.push_back(static_cast<std::uint32_t>(f.text.size()));
+  }
+  return f;
+}
+
+/// Sorts fragment indices by fragment text.
+void SortFragments(const CanonicalFragments& f,
+                   std::vector<std::uint32_t>* order) {
+  std::sort(order->begin(), order->end(),
+            [&f](std::uint32_t a, std::uint32_t b) { return f[a] < f[b]; });
+}
+
+/// The ';'-join of the distinct fragments, in `order` (sorted).
+std::string JoinDistinct(const CanonicalFragments& f,
+                         const std::vector<std::uint32_t>& order) {
+  std::string out;
+  out.reserve(f.text.size() + f.size());
+  std::string_view prev;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::string_view piece = f[order[i]];
+    if (i > 0 && piece == prev) continue;
+    if (i > 0) out.push_back(';');
+    out.append(piece);
+    prev = piece;
+  }
+  return out;
+}
+
+/// True when JoinDistinct(f, order) sorts before `best`, the join of an
+/// earlier labeling, decided byte by byte without building it. All
+/// labelings' joins have the same length: every rank is one digit, and
+/// whether two fragments coincide does not depend on the labeling.
+bool JoinsBelow(const CanonicalFragments& f,
+                const std::vector<std::uint32_t>& order,
+                const std::string& best) {
+  const char* at = best.data();
+  std::string_view prev;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::string_view piece = f[order[i]];
+    if (i > 0 && piece == prev) continue;
+    if (i > 0) {
+      if (*at != ';') return ';' < *at;
+      ++at;
+    }
+    if (const int c = std::memcmp(piece.data(), at, piece.size()); c != 0) {
+      return c < 0;
+    }
+    at += piece.size();
+    prev = piece;
+  }
+  return false;
 }
 
 }  // namespace
@@ -125,38 +235,34 @@ std::string ConjunctiveQuery::CanonicalString() const {
   }
 
   std::vector<VarId> rank_of_var(num_variables_, 0);
-  auto serialize = [this, &rank_of_var]() {
-    std::vector<std::string> rendered;
-    rendered.reserve(atoms_.size() + filters_.size());
-    for (const Atom& a : atoms_) {
-      rendered.push_back(StrFormat(
-          "%u|%s|%s", a.predicate,
-          RenderTermCanonical(a.subject, rank_of_var).c_str(),
-          RenderTermCanonical(a.object, rank_of_var).c_str()));
-    }
-    for (const FilterCondition& f : filters_) {
-      rendered.push_back(StrFormat(
-          "F|v%u|%s|%s", rank_of_var[f.var],
-          std::string(FilterOpSymbol(f.op)).c_str(),
-          RenderFilterValue(f.value).c_str()));
-    }
-    std::sort(rendered.begin(), rendered.end());
-    rendered.erase(std::unique(rendered.begin(), rendered.end()),
-                   rendered.end());
-    return Join(rendered, ";");
-  };
+  std::vector<std::uint32_t> order(atoms_.size() + filters_.size());
+  std::iota(order.begin(), order.end(), 0u);
 
   if (used.size() <= kExactCanonicalVarLimit) {
     // Exact: lexicographically smallest serialization over all labelings.
+    // Every rank is one digit, so the fragments are rendered once and each
+    // labeling only rewrites the rank digits in place.
+    static_assert(kExactCanonicalVarLimit <= 10,
+                  "ranks must render as one digit");
+    CanonicalFragments fragments =
+        RenderFragments(atoms_, filters_, rank_of_var);
     std::vector<VarId> perm(used.size());
-    for (VarId i = 0; i < perm.size(); ++i) perm[i] = i;
+    std::iota(perm.begin(), perm.end(), VarId{0});
     std::string best;
+    bool have_best = false;
     do {
       for (std::size_t i = 0; i < used.size(); ++i) {
         rank_of_var[used[i]] = perm[i];
       }
-      std::string candidate = serialize();
-      if (best.empty() || candidate < best) best = std::move(candidate);
+      for (const CanonicalFragments::Slot& slot : fragments.slots) {
+        fragments.text[slot.pos] =
+            static_cast<char>('0' + rank_of_var[slot.var]);
+      }
+      SortFragments(fragments, &order);
+      if (!have_best || JoinsBelow(fragments, order, best)) {
+        best = JoinDistinct(fragments, order);
+        have_best = true;
+      }
     } while (std::next_permutation(perm.begin(), perm.end()));
     return best;
   }
@@ -198,7 +304,10 @@ std::string ConjunctiveQuery::CanonicalString() const {
   for (std::size_t i = 0; i < signatures.size(); ++i) {
     rank_of_var[signatures[i].var] = static_cast<VarId>(i);
   }
-  return serialize();
+  const CanonicalFragments fragments =
+      RenderFragments(atoms_, filters_, rank_of_var);
+  SortFragments(fragments, &order);
+  return JoinDistinct(fragments, order);
 }
 
 }  // namespace grasp::query

@@ -102,12 +102,23 @@ class ConjunctiveQuery {
   std::string ToString(const rdf::Dictionary& dictionary) const;
 
   /// A serialization invariant under variable renaming and atom order:
-  /// two queries are isomorphic iff their canonical strings are equal. Exact
-  /// for queries with at most kExactCanonicalVarLimit variables (the paper's
-  /// queries are far smaller); beyond that a deterministic greedy labeling
-  /// is used, which may distinguish some isomorphic pairs.
+  /// two queries are isomorphic iff their canonical strings are equal. Each
+  /// atom renders as "<predicate>|<term>|<term>" and each filter as
+  /// "F|v<rank>|<op>|<value>", where a constant is c<term id> and a variable
+  /// is v<rank> under a labeling of the used variables with ranks 0..n-1;
+  /// the string is the ';'-join of the sorted distinct fragments. Exact for
+  /// queries with at most kExactCanonicalVarLimit variables (the paper's
+  /// queries are far smaller): the smallest such join over all n!
+  /// labelings. Because every rank is then one digit, the fragments are
+  /// rendered once and each labeling only rewrites its rank digits in place
+  /// (one digit slot per variable occurrence), re-sorts the fragment
+  /// indices and compares the join against the best so far byte by byte;
+  /// a string is built only when a labeling wins. Beyond the limit a
+  /// deterministic greedy labeling is used, which may distinguish some
+  /// isomorphic pairs.
   std::string CanonicalString() const;
 
+  /// At most 10, so that every exact-path rank is a single digit.
   static constexpr std::size_t kExactCanonicalVarLimit = 8;
 
   /// True when the two queries are isomorphic (equal canonical strings).

@@ -55,6 +55,18 @@ TEST(ParseFilterKeywordTest, RejectsPlainKeywords) {
   EXPECT_FALSE(ParseFilterKeyword("").has_value());
 }
 
+TEST(ParseFilterKeywordTest, RejectsNonFiniteValues) {
+  // strtod reads these; a filter on them would compare against inf/nan.
+  EXPECT_FALSE(ParseFilterKeyword(">inf").has_value());
+  EXPECT_FALSE(ParseFilterKeyword("<-infinity").has_value());
+  EXPECT_FALSE(ParseFilterKeyword(">nan").has_value());
+  EXPECT_FALSE(ParseFilterKeyword("!=NAN").has_value());
+  EXPECT_FALSE(ParseFilterKeyword(">1e999").has_value());
+  auto large = ParseFilterKeyword(">1e20");
+  ASSERT_TRUE(large.has_value());
+  EXPECT_EQ(large->value, 1e20);
+}
+
 TEST(FilterOpTest, EvalSemantics) {
   EXPECT_TRUE(EvalFilterOp(FilterOp::kLess, 1.0, 2.0));
   EXPECT_FALSE(EvalFilterOp(FilterOp::kLess, 2.0, 2.0));
@@ -166,16 +178,31 @@ TEST_F(FilterQueryTest, FilterWithoutDictionaryIsRejected) {
 }
 
 TEST_F(FilterQueryTest, SparqlRendersAndReparsesFilter) {
-  query::ConjunctiveQuery q = YearQuery(FilterOp::kGreaterEqual, 2000);
-  const std::string sparql = q.ToSparql(dataset_.dictionary);
-  EXPECT_NE(sparql.find("FILTER(?x1 >= 2000)"), std::string::npos) << sparql;
+  // Each value renders in exact fixed notation, which the SPARQL number
+  // token (no exponent) reads back as the same double.
+  const struct {
+    double value;
+    const char* text;
+  } cases[] = {{2000, "2000"},
+               {19.5, "19.5"},
+               {1234567, "1234567"},
+               {0.1234567, "0.1234567"},
+               {1e20, "100000000000000000000"},
+               {-3, "-3"}};
+  for (const auto& c : cases) {
+    query::ConjunctiveQuery q = YearQuery(FilterOp::kGreaterEqual, c.value);
+    const std::string sparql = q.ToSparql(dataset_.dictionary);
+    EXPECT_NE(sparql.find(std::string("FILTER(?x1 >= ") + c.text + ")"),
+              std::string::npos)
+        << sparql;
 
-  auto parsed = query::ParseSparql(sparql, &dataset_.dictionary);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << sparql;
-  ASSERT_EQ(parsed->query.filters().size(), 1u);
-  EXPECT_EQ(parsed->query.filters()[0].op, FilterOp::kGreaterEqual);
-  EXPECT_DOUBLE_EQ(parsed->query.filters()[0].value, 2000.0);
-  EXPECT_TRUE(Isomorphic(parsed->query, q)) << sparql;
+    auto parsed = query::ParseSparql(sparql, &dataset_.dictionary);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << sparql;
+    ASSERT_EQ(parsed->query.filters().size(), 1u);
+    EXPECT_EQ(parsed->query.filters()[0].op, FilterOp::kGreaterEqual);
+    EXPECT_EQ(parsed->query.filters()[0].value, c.value) << sparql;
+    EXPECT_TRUE(Isomorphic(parsed->query, q)) << sparql;
+  }
 }
 
 TEST_F(FilterQueryTest, CanonicalDistinguishesFilters) {
@@ -185,6 +212,15 @@ TEST_F(FilterQueryTest, CanonicalDistinguishesFilters) {
   EXPECT_FALSE(Isomorphic(gt, lt));
   EXPECT_FALSE(Isomorphic(gt, gt2));
   EXPECT_TRUE(Isomorphic(gt, YearQuery(FilterOp::kGreater, 2000)));
+  // Values that agree in their first six significant digits stay distinct.
+  EXPECT_FALSE(Isomorphic(YearQuery(FilterOp::kGreater, 1234567),
+                          YearQuery(FilterOp::kGreater, 1234568)));
+  EXPECT_FALSE(Isomorphic(YearQuery(FilterOp::kGreater, 0.1234567),
+                          YearQuery(FilterOp::kGreater, 0.123457)));
+  EXPECT_FALSE(Isomorphic(YearQuery(FilterOp::kGreater, 1e20),
+                          YearQuery(FilterOp::kGreater, 1.00000001e20)));
+  EXPECT_TRUE(Isomorphic(YearQuery(FilterOp::kGreater, 1e20),
+                         YearQuery(FilterOp::kGreater, 1e20)));
 }
 
 // --------------------------------------------------------------- end2end --

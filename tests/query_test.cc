@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "core/engine.h"
+#include "datagen/dblp_gen.h"
+#include "datagen/workload.h"
 #include "query/conjunctive_query.h"
 #include "query/evaluator.h"
 #include "test_util.h"
@@ -133,6 +140,254 @@ TEST_F(QueryFixture, CanonicalStableUnderAtomShuffle) {
     for (const Atom& a : atoms) q.AddAtom(a);
     EXPECT_EQ(q.CanonicalString(), canonical);
   }
+}
+
+// ------------------------------------------- Canonical form, differential --
+
+/// The canonical form as first written: per labeling, render every atom
+/// and filter, sort, de-duplicate and join, keeping the smallest string.
+/// CanonicalString renders each fragment once and compares in place; it
+/// must return these bytes exactly. Filter values use the shortest exact
+/// fixed form (the first version's "%g" lost digits).
+std::string ReferenceCanonicalString(const ConjunctiveQuery& q) {
+  std::vector<VarId> used;
+  {
+    std::set<VarId> seen;
+    for (const Atom& a : q.atoms()) {
+      if (a.subject.is_variable) seen.insert(a.subject.var);
+      if (a.object.is_variable) seen.insert(a.object.var);
+    }
+    for (const FilterCondition& f : q.filters()) seen.insert(f.var);
+    used.assign(seen.begin(), seen.end());
+  }
+  std::vector<VarId> rank_of_var(q.num_variables(), 0);
+  auto term = [&rank_of_var](const QueryTerm& t) {
+    if (t.is_variable) return StrFormat("v%u", rank_of_var[t.var]);
+    return StrFormat("c%u", t.term);
+  };
+  auto value = [](double v) {
+    char buf[400];
+    return std::string(
+        buf,
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed).ptr);
+  };
+  auto serialize = [&]() {
+    std::vector<std::string> rendered;
+    for (const Atom& a : q.atoms()) {
+      rendered.push_back(StrFormat("%u|%s|%s", a.predicate,
+                                   term(a.subject).c_str(),
+                                   term(a.object).c_str()));
+    }
+    for (const FilterCondition& f : q.filters()) {
+      rendered.push_back(StrFormat("F|v%u|%s|%s", rank_of_var[f.var],
+                                   std::string(FilterOpSymbol(f.op)).c_str(),
+                                   value(f.value).c_str()));
+    }
+    std::sort(rendered.begin(), rendered.end());
+    rendered.erase(std::unique(rendered.begin(), rendered.end()),
+                   rendered.end());
+    return Join(rendered, ";");
+  };
+
+  if (used.size() <= ConjunctiveQuery::kExactCanonicalVarLimit) {
+    std::vector<VarId> perm(used.size());
+    for (VarId i = 0; i < perm.size(); ++i) perm[i] = i;
+    std::string best;
+    do {
+      for (std::size_t i = 0; i < used.size(); ++i) {
+        rank_of_var[used[i]] = perm[i];
+      }
+      std::string candidate = serialize();
+      if (best.empty() || candidate < best) best = std::move(candidate);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    return best;
+  }
+
+  // Greedy fallback: occurrence count desc, sorted incident predicates,
+  // variable id.
+  struct Signature {
+    std::size_t occurrences = 0;
+    std::vector<std::uint64_t> incident;
+    VarId var = 0;
+  };
+  std::vector<Signature> signatures;
+  for (VarId v : used) {
+    Signature sig;
+    sig.var = v;
+    for (const Atom& a : q.atoms()) {
+      if (a.subject.is_variable && a.subject.var == v) {
+        ++sig.occurrences;
+        sig.incident.push_back(static_cast<std::uint64_t>(a.predicate) << 1);
+      }
+      if (a.object.is_variable && a.object.var == v) {
+        ++sig.occurrences;
+        sig.incident.push_back((static_cast<std::uint64_t>(a.predicate) << 1) |
+                               1);
+      }
+    }
+    std::sort(sig.incident.begin(), sig.incident.end());
+    signatures.push_back(std::move(sig));
+  }
+  std::sort(signatures.begin(), signatures.end(),
+            [](const Signature& a, const Signature& b) {
+              if (a.occurrences != b.occurrences) {
+                return a.occurrences > b.occurrences;
+              }
+              if (a.incident != b.incident) return a.incident < b.incident;
+              return a.var < b.var;
+            });
+  for (std::size_t i = 0; i < signatures.size(); ++i) {
+    rank_of_var[signatures[i].var] = static_cast<VarId>(i);
+  }
+  return serialize();
+}
+
+/// A random query whose atoms and filters use exactly `num_used` variables,
+/// drawn from a slightly larger id range so unused ids occur too. The ids
+/// are prefix-prone on purpose: "12|" sorts before "1|" (a digit is below
+/// '|'), "c5" is a prefix of "c55", and "c5;" sorts after "c55" once the
+/// join adds the separator. Atoms and filters repeat now and then.
+ConjunctiveQuery RandomCanonicalQuery(Rng& rng, std::size_t num_used) {
+  static constexpr rdf::TermId kPredicates[] = {1, 12, 123, 2};
+  static constexpr rdf::TermId kConstants[] = {5, 55, 555, 6};
+  static constexpr double kValues[] = {2000,      19.5, 1234567, 1234568,
+                                       0.1234567, 1e20, -3,      0};
+  static constexpr FilterOp kOps[] = {FilterOp::kLess, FilterOp::kLessEqual,
+                                      FilterOp::kGreater,
+                                      FilterOp::kGreaterEqual,
+                                      FilterOp::kNotEqual};
+  ConjunctiveQuery q;
+  std::vector<VarId> ids(num_used + rng.NextBelow(3));
+  for (VarId& id : ids) id = q.NewVariable();
+  rng.Shuffle(&ids);
+  ids.resize(num_used);
+
+  auto add_filter = [&](VarId var) {
+    q.AddFilter({var, kOps[rng.NextBelow(5)], kValues[rng.NextBelow(8)]});
+  };
+  if (!ids.empty() && ids.size() <= 2 && rng.NextBernoulli(0.05)) {
+    for (VarId v : ids) add_filter(v);  // zero atoms, filters only
+    return q;
+  }
+  std::size_t next_uncovered = 0;
+  auto term = [&]() {
+    if (next_uncovered < ids.size()) {
+      return QueryTerm::Variable(ids[next_uncovered++]);
+    }
+    if (!ids.empty() && rng.NextBernoulli(0.7)) {
+      return QueryTerm::Variable(ids[rng.NextBelow(ids.size())]);
+    }
+    return QueryTerm::Constant(kConstants[rng.NextBelow(4)]);
+  };
+  const std::size_t num_atoms = (ids.size() + 1) / 2 + rng.NextBelow(4);
+  for (std::size_t i = 0; i < num_atoms; ++i) {
+    QueryTerm subject = term();
+    QueryTerm object = term();
+    if (rng.NextBernoulli(0.5)) std::swap(subject, object);
+    q.AddAtom({kPredicates[rng.NextBelow(4)], subject, object});
+    if (rng.NextBernoulli(0.15)) {
+      q.AddAtom(q.atoms()[rng.NextBelow(q.atoms().size())]);
+    }
+  }
+  if (!ids.empty()) {
+    for (std::size_t i = rng.NextBelow(3); i > 0; --i) {
+      add_filter(ids[rng.NextBelow(ids.size())]);
+      if (rng.NextBernoulli(0.1)) q.AddFilter(q.filters().back());
+    }
+  }
+  return q;
+}
+
+/// The same query with its variable ids permuted and its atoms and filters
+/// shuffled: isomorphic by construction.
+ConjunctiveQuery Relabeled(Rng& rng, const ConjunctiveQuery& q) {
+  std::vector<VarId> rename(q.num_variables());
+  ConjunctiveQuery out;
+  for (VarId& v : rename) v = out.NewVariable();
+  rng.Shuffle(&rename);
+  auto map = [&rename](QueryTerm t) {
+    if (t.is_variable) t.var = rename[t.var];
+    return t;
+  };
+  std::vector<Atom> atoms = q.atoms();
+  rng.Shuffle(&atoms);
+  for (const Atom& a : atoms) {
+    out.AddAtom({a.predicate, map(a.subject), map(a.object)});
+  }
+  std::vector<FilterCondition> filters = q.filters();
+  rng.Shuffle(&filters);
+  for (FilterCondition f : filters) {
+    f.var = rename[f.var];
+    out.AddFilter(f);
+  }
+  return out;
+}
+
+TEST(CanonicalDifferentialTest, RandomQueriesMatchReference) {
+  // Most queries have 0-5 variables; the 6-8 variable tail is thinner
+  // because the reference pays up to 8! string joins per call.
+  constexpr std::size_t kQueries = 20000;
+  Rng rng(20240611);
+  std::size_t per_count[ConjunctiveQuery::kExactCanonicalVarLimit + 1] = {};
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const std::size_t num_used = i < 16    ? 8
+                                 : i < 136 ? 7
+                                 : i < 736 ? 6
+                                           : i % 6;
+    const ConjunctiveQuery q = RandomCanonicalQuery(rng, num_used);
+    const std::string expected = ReferenceCanonicalString(q);
+    ASSERT_EQ(q.CanonicalString(), expected) << "query " << i;
+    ASSERT_EQ(Relabeled(rng, q).CanonicalString(), expected) << "query " << i;
+    ++per_count[num_used];
+  }
+  for (std::size_t count : per_count) EXPECT_GT(count, 0u);
+}
+
+TEST(CanonicalDifferentialTest, GreedyFallbackMatchesReference) {
+  Rng rng(7);
+  for (std::size_t i = 0; i < 500; ++i) {
+    const std::size_t num_used =
+        ConjunctiveQuery::kExactCanonicalVarLimit + 1 + i % 4;
+    const ConjunctiveQuery q = RandomCanonicalQuery(rng, num_used);
+    ASSERT_EQ(q.CanonicalString(), ReferenceCanonicalString(q))
+        << "query " << i;
+  }
+}
+
+TEST(CanonicalDifferentialTest, DblpMappedQueriesMatchReference) {
+  // Every distinct query Search maps for the Fig. 4 and Fig. 5 workloads
+  // under C1-C3: with no overfetch, Search(k = 20) maps the same 20
+  // subgraphs as the default Search(k = 10) and returns every distinct
+  // query among them.
+  grasp::testing::Dataset data;
+  datagen::GenerateDblp(datagen::DblpOptions{}, &data.dictionary, &data.store);
+  data.store.Finalize();
+  core::KeywordSearchEngine::Options options;
+  options.subgraph_overfetch = 1.0;
+  const core::KeywordSearchEngine engine(data.store, data.dictionary, options);
+  std::vector<datagen::WorkloadQuery> workload =
+      datagen::DblpEffectivenessWorkload();
+  for (auto& q : datagen::DblpPerformanceWorkload()) workload.push_back(q);
+  std::size_t pinned = 0;
+  std::set<std::size_t> variable_counts;
+  for (const datagen::WorkloadQuery& wq : workload) {
+    for (core::CostModel model :
+         {core::CostModel::kPathLength, core::CostModel::kPopularity,
+          core::CostModel::kMatching}) {
+      core::ExplorationOptions explore;
+      explore.cost_model = model;
+      const auto result = engine.Search(wq.keywords, 20, explore);
+      for (const auto& ranked : result.queries) {
+        const std::string expected = ReferenceCanonicalString(ranked.query);
+        ASSERT_EQ(ranked.canonical, expected) << wq.id;
+        ASSERT_EQ(ranked.query.CanonicalString(), expected) << wq.id;
+        variable_counts.insert(ranked.query.num_variables());
+        ++pinned;
+      }
+    }
+  }
+  EXPECT_GT(pinned, 1000u);
+  EXPECT_GE(variable_counts.size(), 3u);
 }
 
 // ------------------------------------------------------------ Rendering --

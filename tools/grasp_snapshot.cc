@@ -139,7 +139,7 @@ bool LoadDataset(const Args& args, grasp::bench::Dataset* dataset) {
 void PrintResult(const KeywordSearchEngine::SearchResult& result) {
   for (std::size_t i = 0; i < result.queries.size(); ++i) {
     std::printf("%2zu %.6f %s\n", i + 1, result.queries[i].cost,
-                result.queries[i].query.CanonicalString().c_str());
+                result.queries[i].canonical.c_str());
   }
 }
 
