@@ -1,7 +1,7 @@
 #ifndef GRASP_COMMON_FILTER_OP_H_
 #define GRASP_COMMON_FILTER_OP_H_
 
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -53,6 +53,19 @@ constexpr bool EvalFilterOp(FilterOp op, double lhs, double rhs) {
   return false;
 }
 
+/// Renders a filter value in the shortest fixed notation that reads back as
+/// the same double ("2000", "19.5", "1234567", "0.1234567"), so distinct
+/// values never render alike and a rendered SPARQL FILTER reparses (the
+/// SPARQL number token has no exponent).
+inline std::string RenderFilterValue(double value) {
+  // The longest fixed rendering is a negative subnormal: "-0." + 323 zeros
+  // + up to 17 significant digits.
+  char buf[400];
+  const auto result =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
+  return std::string(buf, result.ptr);
+}
+
 /// A parsed filter keyword such as ">2000" or "<=1995".
 struct FilterSpec {
   FilterOp op;
@@ -61,8 +74,7 @@ struct FilterSpec {
 
 /// Recognizes operator-prefixed numeric keywords: `>2000`, `>=10`,
 /// `<1995.5`, `<=0`, `!=3`. Whitespace between the operator and the number
-/// is allowed. Returns nullopt for everything else (plain keywords), and
-/// for values that are not finite.
+/// is allowed. Returns nullopt for everything else (plain keywords).
 inline std::optional<FilterSpec> ParseFilterKeyword(std::string_view keyword) {
   FilterOp op;
   std::size_t skip = 0;
@@ -92,7 +104,6 @@ inline std::optional<FilterSpec> ParseFilterKeyword(std::string_view keyword) {
     if (*end != ' ' && *end != '\t') return std::nullopt;  // trailing junk
     ++end;
   }
-  if (!std::isfinite(value)) return std::nullopt;  // ">inf", ">nan", ">1e999"
   return FilterSpec{op, value};
 }
 

@@ -1,6 +1,7 @@
 #include "keyword/keyword_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <utility>
@@ -186,6 +187,9 @@ std::vector<AttrContext> KeywordIndex::ContextsOf(
 
 std::optional<KeywordMatch> KeywordIndex::LookupFilter(
     const FilterSpec& filter) const {
+  // strtod reads ">inf", ">nan" and ">1e999"; a comparison with a value
+  // that is not finite selects nothing meaningful.
+  if (!std::isfinite(filter.value)) return std::nullopt;
   // Merge the contexts of every satisfying numeric value: count per
   // (attribute, class) pair.
   std::map<TermId, std::map<TermId, std::uint64_t>> merged;

@@ -124,7 +124,8 @@ class KeywordIndex {
   /// Filter-operator extension (Sec. IX): resolves an operator keyword such
   /// as ">2000" to a single filter match whose contexts merge every numeric
   /// V-vertex satisfying the comparison (counts summed per attribute and
-  /// class). Returns nullopt when no indexed value satisfies the filter.
+  /// class). Returns nullopt when no indexed value satisfies the filter,
+  /// and for a filter value that is not finite.
   std::optional<KeywordMatch> LookupFilter(const FilterSpec& filter) const;
 
   std::size_t num_elements() const { return elements_.size(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <numeric>
 #include <set>
 #include <string_view>
@@ -32,19 +31,6 @@ std::string RenderTermShort(const QueryTerm& t,
   return std::string(rdf::IriLocalName(dictionary.text(t.term)));
 }
 
-/// Renders the filter value in the shortest fixed notation that reads back
-/// as the same double ("2000", "19.5", "1234567", "0.1234567"), so distinct
-/// values never share a canonical string and ToSparql's output reparses
-/// (the SPARQL number token has no exponent).
-std::string RenderFilterValue(double value) {
-  // The longest fixed rendering is a negative subnormal: "-0." + 323 zeros
-  // + up to 17 significant digits.
-  char buf[400];
-  const auto result =
-      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
-  return std::string(buf, result.ptr);
-}
-
 void AppendUint(std::string* out, std::uint64_t value) {
   char buf[20];
   out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
@@ -65,7 +51,6 @@ struct CanonicalFragments {
   std::vector<std::uint32_t> ends;  // fragment i ends at text[ends[i]]
   std::vector<Slot> slots;
 
-  std::size_t size() const { return ends.size(); }
   std::string_view operator[](std::size_t i) const {
     const std::uint32_t begin = i == 0 ? 0 : ends[i - 1];
     return std::string_view(text.data() + begin, ends[i] - begin);
@@ -113,45 +98,19 @@ void SortFragments(const CanonicalFragments& f,
             [&f](std::uint32_t a, std::uint32_t b) { return f[a] < f[b]; });
 }
 
-/// The ';'-join of the distinct fragments, in `order` (sorted).
-std::string JoinDistinct(const CanonicalFragments& f,
-                         const std::vector<std::uint32_t>& order) {
-  std::string out;
-  out.reserve(f.text.size() + f.size());
+/// Writes the ';'-join of the distinct fragments, in `order` (sorted), into
+/// `out`, replacing its contents but keeping its capacity.
+void JoinDistinct(const CanonicalFragments& f,
+                  const std::vector<std::uint32_t>& order, std::string* out) {
+  out->clear();
   std::string_view prev;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::string_view piece = f[order[i]];
     if (i > 0 && piece == prev) continue;
-    if (i > 0) out.push_back(';');
-    out.append(piece);
+    if (i > 0) out->push_back(';');
+    out->append(piece);
     prev = piece;
   }
-  return out;
-}
-
-/// True when JoinDistinct(f, order) sorts before `best`, the join of an
-/// earlier labeling, decided byte by byte without building it. All
-/// labelings' joins have the same length: every rank is one digit, and
-/// whether two fragments coincide does not depend on the labeling.
-bool JoinsBelow(const CanonicalFragments& f,
-                const std::vector<std::uint32_t>& order,
-                const std::string& best) {
-  const char* at = best.data();
-  std::string_view prev;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::string_view piece = f[order[i]];
-    if (i > 0 && piece == prev) continue;
-    if (i > 0) {
-      if (*at != ';') return ';' < *at;
-      ++at;
-    }
-    if (const int c = std::memcmp(piece.data(), at, piece.size()); c != 0) {
-      return c < 0;
-    }
-    at += piece.size();
-    prev = piece;
-  }
-  return false;
 }
 
 }  // namespace
@@ -241,7 +200,8 @@ std::string ConjunctiveQuery::CanonicalString() const {
   if (used.size() <= kExactCanonicalVarLimit) {
     // Exact: lexicographically smallest serialization over all labelings.
     // Every rank is one digit, so the fragments are rendered once and each
-    // labeling only rewrites the rank digits in place.
+    // labeling only rewrites the rank digits in place; the join goes into a
+    // reused buffer, so after the first labelings nothing allocates.
     static_assert(kExactCanonicalVarLimit <= 10,
                   "ranks must render as one digit");
     CanonicalFragments fragments =
@@ -249,6 +209,7 @@ std::string ConjunctiveQuery::CanonicalString() const {
     std::vector<VarId> perm(used.size());
     std::iota(perm.begin(), perm.end(), VarId{0});
     std::string best;
+    std::string candidate;
     bool have_best = false;
     do {
       for (std::size_t i = 0; i < used.size(); ++i) {
@@ -259,8 +220,9 @@ std::string ConjunctiveQuery::CanonicalString() const {
             static_cast<char>('0' + rank_of_var[slot.var]);
       }
       SortFragments(fragments, &order);
-      if (!have_best || JoinsBelow(fragments, order, best)) {
-        best = JoinDistinct(fragments, order);
+      JoinDistinct(fragments, order, &candidate);
+      if (!have_best || candidate < best) {
+        best.swap(candidate);
         have_best = true;
       }
     } while (std::next_permutation(perm.begin(), perm.end()));
@@ -307,7 +269,9 @@ std::string ConjunctiveQuery::CanonicalString() const {
   const CanonicalFragments fragments =
       RenderFragments(atoms_, filters_, rank_of_var);
   SortFragments(fragments, &order);
-  return JoinDistinct(fragments, order);
+  std::string out;
+  JoinDistinct(fragments, order, &out);
+  return out;
 }
 
 }  // namespace grasp::query

@@ -112,10 +112,10 @@ class ConjunctiveQuery {
   /// labelings. Because every rank is then one digit, the fragments are
   /// rendered once and each labeling only rewrites its rank digits in place
   /// (one digit slot per variable occurrence), re-sorts the fragment
-  /// indices and compares the join against the best so far byte by byte;
-  /// a string is built only when a labeling wins. Beyond the limit a
-  /// deterministic greedy labeling is used, which may distinguish some
-  /// isomorphic pairs.
+  /// indices and joins them into a reused buffer that it compares with the
+  /// best so far, so no labeling allocates once the buffers have grown.
+  /// Beyond the limit a deterministic greedy labeling is used, which may
+  /// distinguish some isomorphic pairs.
   std::string CanonicalString() const;
 
   /// At most 10, so that every exact-path rank is a single digit.

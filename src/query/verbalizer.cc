@@ -94,8 +94,8 @@ std::string Verbalize(const ConjunctiveQuery& query,
   }
   for (const FilterCondition& filter : query.filters()) {
     facts[filter.var].filter_clauses.push_back(StrFormat(
-        "that is %s %g", std::string(FilterOpSymbol(filter.op)).c_str(),
-        filter.value));
+        "that is %s %s", std::string(FilterOpSymbol(filter.op)).c_str(),
+        RenderFilterValue(filter.value).c_str()));
   }
 
   // Render one variable as a noun phrase, following relations depth-first.

@@ -146,8 +146,8 @@ TEST_F(QueryFixture, CanonicalStableUnderAtomShuffle) {
 
 /// The canonical form as first written: per labeling, render every atom
 /// and filter, sort, de-duplicate and join, keeping the smallest string.
-/// CanonicalString renders each fragment once and compares in place; it
-/// must return these bytes exactly. Filter values use the shortest exact
+/// CanonicalString renders each fragment once and only patches the rank
+/// digits per labeling; it must return these bytes exactly. Filter values use the shortest exact
 /// fixed form (the first version's "%g" lost digits).
 std::string ReferenceCanonicalString(const ConjunctiveQuery& q) {
   std::vector<VarId> used;

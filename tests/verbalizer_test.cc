@@ -79,6 +79,21 @@ TEST_F(VerbalizerTest, FilterClause) {
   EXPECT_NE(text.find("> 2000"), std::string::npos) << text;
 }
 
+TEST_F(VerbalizerTest, FilterValueKeepsEveryDigit) {
+  auto text = [this](double value) {
+    ConjunctiveQuery q;
+    const VarId x = q.NewVariable(), v = q.NewVariable();
+    q.AddAtom({Iri("year"), QueryTerm::Variable(x), QueryTerm::Variable(v)});
+    q.AddFilter(FilterCondition{v, FilterOp::kGreater, value});
+    return Verbalize(q, dataset_.dictionary);
+  };
+  EXPECT_NE(text(1234567).find("> 1234567"), std::string::npos)
+      << text(1234567);
+  EXPECT_NE(text(1234567), text(1234568));
+  EXPECT_NE(text(0.1234567).find("> 0.1234567"), std::string::npos)
+      << text(0.1234567);
+}
+
 TEST_F(VerbalizerTest, UntypedVariableIsThing) {
   ConjunctiveQuery q;
   q.AddAtom({Iri("name"), QueryTerm::Variable(q.NewVariable()),
